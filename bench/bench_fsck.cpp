@@ -162,9 +162,8 @@ int run_bench(const std::string& json_path, const std::string& baseline_path,
     // time is reported for trajectory watching; only convergence is gated.
     {
       Rng rng(2014 + files);
-      for (int k = 0; k < 10; ++k) {
-        tools::inject_corruption(fs.target(),
-                                 static_cast<tools::FindingKind>(k), rng);
+      for (const tools::FindingKind kind : tools::kAllFindingKinds) {
+        tools::inject_corruption(fs.target(), kind, rng);
       }
       tools::FsckOptions repair_opts;
       repair_opts.repair = true;

@@ -1,7 +1,7 @@
 // spiderlint whole-tree wall time (docs/static-analysis.md).
 //
 // Lints the repo's own src/, tests/, and bench/ trees cold — read, scan,
-// tokenize, per-file rules, and the whole-program L13-L16 passes — once
+// tokenize, per-file rules, and the project-wide L5 include graph — once
 // serially (--jobs=1) and once fanned out over the shared pool (--jobs=0,
 // one worker per hardware thread), and reports files/sec plus the per-phase
 // split the CLI prints under --stats. Because lint output is worker-count

@@ -39,10 +39,10 @@ if [ ! -x "${BUILD_ROOT}/lint/tools/spiderlint" ]; then
   exit 2
 fi
 
-# Parallel-lint determinism: the per-file pass and the whole-program index
-# fan out over the shared pool, but findings merge in canonical path order,
-# so stdout must be byte-identical at every --jobs count — the same
-# guarantee the fsck and campaign stages prove for their tools.
+# Parallel-lint determinism: the per-file pass fans out over the shared
+# pool, but findings merge in canonical path order, so stdout must be
+# byte-identical at every --jobs count — the same guarantee the fsck and
+# campaign stages prove for their tools.
 LINT_BIN="${BUILD_ROOT}/lint/tools/spiderlint"
 echo "=== spiderlint --jobs determinism (1/2/4/8 vs serial) ==="
 for LINT_JOBS in 1 2 4 8; do

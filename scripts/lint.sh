@@ -1,10 +1,10 @@
 #!/usr/bin/env bash
 # Static-analysis driver: spiderlint (always) + clang-tidy (when installed).
 #
-# spiderlint is the in-tree determinism, unit-safety, architecture,
-# shard-concurrency, and crash-consistency pass (rules L1-L16, see
-# docs/static-analysis.md); clang-tidy adds the generic bugprone /
-# concurrency / performance checks configured in .clang-tidy.
+# spiderlint is the in-tree determinism, unit-safety, architecture, and
+# shard-concurrency pass (rules L1-L12, see docs/static-analysis.md);
+# clang-tidy adds the generic bugprone / concurrency / performance checks
+# configured in .clang-tidy.
 #
 # Usage: scripts/lint.sh [options] [path...]
 #   --fix-hints       print spiderlint fix-it hints and the per-rule digest
@@ -12,15 +12,13 @@
 #   --format=FMT      spiderlint output format: text (default), json, sarif
 #   --baseline=FILE   baseline file (default: ci/spiderlint-baseline.txt
 #                     when it exists; --baseline= with no file disables)
-#   --fix             apply the mechanically safe fixes (L1 swaps, L3 unit
-#                     aliases) in place, then report what remains
 #   --changed         report only findings in files touched vs HEAD (staged
 #                     + unstaged + untracked) plus every file that includes
 #                     them, found by a fixpoint over the in-tree include
-#                     spellings — the pre-commit hook's fast path. The
-#                     whole-program index is still built from the full tree
-#                     (cross-TU rules L13-L16 are unsound on a partial
-#                     index); only the *report* narrows, via --only.
+#                     spellings — the pre-commit hook's fast path. The L5
+#                     include graph is still built from the full tree (an
+#                     include cycle through an unchanged file must still
+#                     close); only the *report* narrows, via --only.
 #                     Ignores path args. Skips the baseline-staleness gate:
 #                     a narrowed report cannot tell fixed from not-reported.
 #   --jobs=N          spiderlint worker threads (passed through; output is
@@ -50,7 +48,6 @@ for arg in "$@"; do
     --fix-hints)   SPIDERLINT_ARGS+=(--fix-hints) ;;
     --json)        SPIDERLINT_ARGS+=(--format=json) ;;
     --format=*)    SPIDERLINT_ARGS+=("$arg") ;;
-    --fix)         SPIDERLINT_ARGS+=(--fix) ;;
     --stats)       SPIDERLINT_ARGS+=(--stats) ;;
     --jobs=*)      SPIDERLINT_ARGS+=("$arg") ;;
     --changed)     CHANGED=1 ;;
@@ -77,9 +74,8 @@ fi
 # so a header edit re-reports every translation unit it can break. Include
 # edges are matched by include spelling (the same key spiderlint's L5 include
 # graph uses), iterated to a fixpoint. The closure decides what is
-# *reported* (--only); spiderlint still indexes the full default path set so
-# the cross-TU rules (L13-L16 reachability, census, taint) see every
-# definition — a partial index silently under-links and misses breaches.
+# *reported* (--only); spiderlint still lints the full default path set so
+# L5 sees every include edge — a partial graph misses cycles.
 if [ "$CHANGED" -eq 1 ]; then
   declare -A SELECTED=()
   while IFS= read -r f; do
@@ -120,16 +116,16 @@ if [ "$CHANGED" -eq 1 ]; then
     echo "OK: no lintable changes vs HEAD"
     exit 0
   fi
-  # Full-tree index, narrowed report: one --only per selected file. The
-  # changed set is kept separately so clang-tidy (which has no cross-TU
-  # pass) still runs on just the touched TUs.
+  # Full-tree include graph, narrowed report: one --only per selected file.
+  # The changed set is kept separately so clang-tidy still runs on just the
+  # touched TUs.
   CHANGED_FILES=()
   while IFS= read -r f; do
     SPIDERLINT_ARGS+=("--only=$f")
     CHANGED_FILES+=("$f")
   done < <(printf '%s\n' "${!SELECTED[@]}" | sort)
   PATHS=(src tests bench)
-  echo "=== lint --changed: reporting on ${#CHANGED_FILES[@]} file(s), full-tree index ==="
+  echo "=== lint --changed: reporting on ${#CHANGED_FILES[@]} file(s), full-tree include graph ==="
 fi
 
 # Build (or refresh) the spiderlint binary; export compile commands so a

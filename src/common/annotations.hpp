@@ -46,25 +46,3 @@
 /// scheduled onto a shard — or handed to the thread pool — from capturing
 /// annotated members by reference.
 #define SPIDER_SHARD_OWNED(owner)  // lexical marker (spiderlint L9/L12)
-
-/// Function that exists only so fsck/fault tooling can rewrite state that is
-/// otherwise immutable (the `fsck_set_*` family, `OpLog::truncate_to`,
-/// `OpLog::records_mutable`). Placed after the parameter list, like
-/// SPIDER_REQUIRES. spiderlint rule L13 walks the whole-program call graph
-/// and reports any path that reaches an annotated function (or one matching
-/// the repair vocabulary) from outside `tools/spiderfsck/`,
-/// `tools/faultcli/`, `tests/`, or `bench/`.
-///
-/// No compiler lowering exists; the macro expands to nothing everywhere.
-#define SPIDER_REPAIR_ONLY  // lexical marker (spiderlint L13)
-
-/// Declares that a mutating `fs/` member function is *intentionally* not
-/// journaled — the `why` string names who owns the op journal instead (the
-/// campaign layer, the journal itself, telemetry-only state...). spiderlint
-/// rule L14 requires every state-mutating member of a crash-consistency-
-/// critical class (one that exposes repair mutators) to either append to an
-/// OpLog earlier in the same body or carry this annotation. Placed after the
-/// parameter list, like SPIDER_REQUIRES.
-///
-/// No compiler lowering exists; the macro expands to nothing everywhere.
-#define SPIDER_JOURNALED(why)  // lexical marker (spiderlint L14)

@@ -338,8 +338,8 @@ workload::DataFlow CenterModel::make_flow(const ResourceMap& map,
   return flow;
 }
 
-tools::LoadSnapshot CenterModel::loads_from_solver() const {
-  tools::LoadSnapshot snap;
+LoadSnapshot CenterModel::loads_from_solver() const {
+  LoadSnapshot snap;
   snap.ost_load.reserve(steady_map_.ost.size());
   for (auto id : steady_map_.ost) snap.ost_load.push_back(solver_.utilization(id));
   for (auto id : steady_map_.oss) snap.oss_load.push_back(solver_.utilization(id));
@@ -349,9 +349,9 @@ tools::LoadSnapshot CenterModel::loads_from_solver() const {
   return snap;
 }
 
-tools::LoadSnapshot CenterModel::loads_from_network(
+LoadSnapshot CenterModel::loads_from_network(
     const sim::FlowNetwork& net, const ResourceMap& map) const {
-  tools::LoadSnapshot snap;
+  LoadSnapshot snap;
   for (auto id : map.ost) snap.ost_load.push_back(net.stats(id).current_load);
   for (auto id : map.oss) snap.oss_load.push_back(net.stats(id).current_load);
   for (auto id : map.router) {
@@ -360,8 +360,8 @@ tools::LoadSnapshot CenterModel::loads_from_network(
   return snap;
 }
 
-tools::StorageTopology CenterModel::storage_topology() const {
-  tools::StorageTopology topo;
+StorageTopology CenterModel::storage_topology() const {
+  StorageTopology topo;
   topo.ost_to_oss.reserve(osts_.size());
   for (std::size_t o = 0; o < osts_.size(); ++o) {
     topo.ost_to_oss.push_back(static_cast<std::uint32_t>(oss_of_ost(o)));

@@ -21,11 +21,11 @@
 
 #include "common/rng.hpp"
 #include "core/spider_config.hpp"
+#include "core/storage_view.hpp"
 #include "fs/filesystem.hpp"
 #include "net/fgr.hpp"
 #include "sim/flow_network.hpp"
 #include "sim/steady_state.hpp"
-#include "tools/libpio.hpp"
 #include "workload/ior.hpp"
 
 namespace spider::core {
@@ -111,12 +111,12 @@ class CenterModel final : public workload::IoPathProvider {
 
   // --- telemetry ------------------------------------------------------------
   /// Utilization snapshot from the last steady-state solve (libPIO input).
-  tools::LoadSnapshot loads_from_solver() const;
+  LoadSnapshot loads_from_solver() const;
   /// Utilization snapshot from a dynamic network's current state.
-  tools::LoadSnapshot loads_from_network(const sim::FlowNetwork& net,
-                                         const ResourceMap& map) const;
+  LoadSnapshot loads_from_network(const sim::FlowNetwork& net,
+                                  const ResourceMap& map) const;
   /// Static wiring for libPIO.
-  tools::StorageTopology storage_topology() const;
+  StorageTopology storage_topology() const;
 
   /// Theoretical ceilings per layer for a uniform workload — the Lesson 12
   /// bottom-up profile.

@@ -15,9 +15,9 @@
 // stream the way a real MDS transaction boundary does.
 //
 // The scenario never walks a namespace and never touches repair surfaces
-// (truncate_to / records_mutable are confined to the fault tooling by
-// spiderlint L13); crash injection and the changelog-consistency oracle
-// live in tools/faultcli's churn runner, which drives exactly this class.
+// (truncate_to / records_mutable belong to the fault and repair tooling);
+// crash injection and the changelog-consistency oracle live in
+// tools/faultcli's churn runner, which drives exactly this class.
 #pragma once
 
 #include <cstdint>

@@ -2,23 +2,9 @@
 
 #include <stdexcept>
 
+#include "common/hash.hpp"
+
 namespace spider::fs {
-
-namespace {
-
-// FNV-1a 64-bit reference parameters (Fowler–Noll–Vo).
-constexpr std::uint64_t kFnvPrime = 1099511628211ull;
-constexpr std::uint64_t kFnvOffset = 1469598103934665603ull;
-
-std::uint64_t fnv64(std::uint64_t h, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    h ^= (v >> (i * 8)) & 0xff;
-    h *= kFnvPrime;
-  }
-  return h;
-}
-
-}  // namespace
 
 ChangelogAccounting::ChangelogAccounting(std::uint32_t shards)
     : tables_(shards == 0 ? 1 : shards) {}
@@ -116,14 +102,14 @@ std::map<std::uint32_t, ProjectUsage> ChangelogAccounting::rows() const {
 }
 
 std::uint64_t ChangelogAccounting::table_hash() const {
-  std::uint64_t h = kFnvOffset;
+  std::uint64_t h = kFnvOffsetBasis;
   for (const auto& [project, u] : rows()) {
-    h = fnv64(h, project);
-    h = fnv64(h, u.bytes);
-    h = fnv64(h, u.files);
-    h = fnv64(h, u.creates);
-    h = fnv64(h, u.unlinks);
-    h = fnv64(h, static_cast<std::uint64_t>(u.last_activity));
+    h = fnv1a(h, project);
+    h = fnv1a(h, u.bytes);
+    h = fnv1a(h, u.files);
+    h = fnv1a(h, u.creates);
+    h = fnv1a(h, u.unlinks);
+    h = fnv1a(h, static_cast<std::uint64_t>(u.last_activity));
   }
   return h;
 }

@@ -16,7 +16,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "common/annotations.hpp"
 #include "fs/mds.hpp"
 
 namespace spider::fs {
@@ -52,9 +51,7 @@ class DneNamespace {
     bool cross_mdt = false;
   };
   OpOutcome account(std::uint64_t dir_id, MetaOp op,
-                    std::uint64_t linked_dir = UINT64_MAX)
-      SPIDER_JOURNALED("MDT load accounting is telemetry, not namespace "
-                       "state; fsck recomputes drift from the op stream");
+                    std::uint64_t linked_dir = UINT64_MAX);
 
   /// Accumulated weighted load per MDT.
   const std::vector<double>& load() const { return load_; }
@@ -66,9 +63,7 @@ class DneNamespace {
   void fsck_set_load(std::size_t mdt, double load);
   /// max/mean - 1 over MDT loads.
   double imbalance() const;
-  void reset()
-      SPIDER_JOURNALED("clears telemetry counters between experiment runs; "
-                       "no namespace record corresponds to a reset");
+  void reset();
 
   /// Aggregate weighted capacity.
   double capacity_ops() const;

@@ -36,7 +36,7 @@ FileId FsNamespace::create_file(std::uint32_t project, Bytes size,
   mds_.account(MetaOp::kCreate);
 
   // Pick the slot without mutating anything so the changelog append below
-  // genuinely precedes every namespace-state change (spiderlint L14).
+  // genuinely precedes every namespace-state change.
   const bool reuse = !free_slots_.empty();
   const std::size_t slot = reuse ? free_slots_.back() : files_.size();
   const std::uint32_t generation =
@@ -118,10 +118,9 @@ bool FsNamespace::resize_file(FileId id, Bytes new_size, sim::SimTime now) {
   const Bytes old_size = rec.size;
   if (new_size != old_size) {
     // OST reservation first: a grow that does not fit must leave no record
-    // and no state change. OST counters are derived data-path state (their
-    // mutators carry their own annotations in fs/ost.hpp), so the record
-    // below still precedes every *namespace* mutation.
-    // spiderlint: journal-ok
+    // and no state change. OST counters are derived data-path state (fsck
+    // phase 2 recounts them), so the record below still precedes every
+    // *namespace* mutation.
     if (!allocator_.resize(stripes_of(rec), old_size, new_size)) return false;
   }
   if (oplog_ != nullptr && (oplog_mask_ & kLogResize) != 0) {
@@ -172,7 +171,6 @@ void FsNamespace::for_each_file(
     const std::function<void(const FileRecord&)>& fn) const {
   // Walk telemetry, not namespace state: the changelog oracle reads
   // full_walks() to prove incremental query paths never scan.
-  // spiderlint: journal-ok
   ++full_walks_;
   for (const auto& rec : files_) {
     if (rec.alive) fn(rec);
@@ -180,8 +178,7 @@ void FsNamespace::for_each_file(
 }
 
 std::vector<FileId> FsNamespace::live_ids() const {
-  // spiderlint: journal-ok (walk telemetry, see for_each_file)
-  ++full_walks_;
+  ++full_walks_;  // walk telemetry, see for_each_file
   std::vector<FileId> ids;
   ids.reserve(live_files_);
   for (const auto& rec : files_) {
@@ -191,8 +188,7 @@ std::vector<FileId> FsNamespace::live_ids() const {
 }
 
 std::uint64_t FsNamespace::recount_live() const {
-  // spiderlint: journal-ok (walk telemetry, see for_each_file)
-  ++full_walks_;
+  ++full_walks_;  // walk telemetry, see for_each_file
   std::uint64_t n = 0;
   for (const auto& rec : files_) {
     if (rec.alive) ++n;

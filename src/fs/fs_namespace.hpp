@@ -15,7 +15,6 @@
 #include <string>
 #include <vector>
 
-#include "common/annotations.hpp"
 #include "common/rng.hpp"
 #include "common/units.hpp"
 #include "fs/journal.hpp"
@@ -76,13 +75,11 @@ class FsNamespace {
 
   // --- changelog attachment (ROADMAP item 2) ------------------------------
   // When an OpLog is attached, every mutation path selected by the mask
-  // appends its record *before* touching namespace state (spiderlint L14),
-  // so consumers (fs/changelog.hpp) can rebuild per-project accounting from
-  // the committed prefix alone. The log is non-owning and the namespace
-  // never commits: the durability cursor belongs to whoever owns the log.
-  void attach_oplog(OpLog* log, ChangelogMask mask = kLogDefault)
-      SPIDER_JOURNALED("wires the journal up; stores only the log pointer "
-                       "and mask, never namespace state") {
+  // appends its record *before* touching namespace state, so consumers
+  // (fs/changelog.hpp) can rebuild per-project accounting from the
+  // committed prefix alone. The log is non-owning and the namespace never
+  // commits: the durability cursor belongs to whoever owns the log.
+  void attach_oplog(OpLog* log, ChangelogMask mask = kLogDefault) {
     oplog_ = log;
     oplog_mask_ = mask;
   }

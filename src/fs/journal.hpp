@@ -11,7 +11,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "common/annotations.hpp"
 #include "common/units.hpp"
 
 namespace spider::fs {
@@ -101,9 +100,7 @@ class OpLog {
   /// kResize (prev_size) and kSetProject (prev_project) and default to 0.
   std::uint64_t append(OpKind kind, std::uint64_t file, std::uint32_t project,
                        Bytes size, std::int64_t at,
-                       std::uint32_t prev_project = 0, Bytes prev_size = 0)
-      SPIDER_JOURNALED("this IS the journal append: OpLog is the durability "
-                       "point itself, not a consumer of one");
+                       std::uint32_t prev_project = 0, Bytes prev_size = 0);
 
   const std::vector<OpRecord>& records() const { return records_; }
   std::size_t size() const { return records_.size(); }
@@ -112,9 +109,7 @@ class OpLog {
   /// Durable prefix: records with txid <= committed() survived the crash.
   std::uint64_t committed() const { return committed_; }
   /// Advance the cursor (clamped to last_txid; never moves backwards).
-  void commit(std::uint64_t txid)
-      SPIDER_JOURNALED("cursor advance over records already appended; the "
-                       "append itself was the journaled mutation");
+  void commit(std::uint64_t txid);
 
   /// Crash-lose every record with txid > `txid`; the cursor clamps and the
   /// next append reuses txid + 1 (the tail genuinely never happened).

@@ -15,7 +15,6 @@
 #include <cstdint>
 
 #include "block/raid.hpp"
-#include "common/annotations.hpp"
 #include "common/units.hpp"
 #include "fs/journal.hpp"
 
@@ -50,19 +49,11 @@ class Ost {
   std::uint64_t object_count() const { return objects_; }
 
   /// Reserve space for a new object; returns false if it doesn't fit.
-  bool allocate(Bytes size)
-      SPIDER_JOURNALED("OST accounting is derived data-path state, not "
-                       "namespace metadata; fsck phase-2 rebuilds it from "
-                       "the inode table cross-reference");
+  bool allocate(Bytes size);
   /// Release a previously allocated object.
-  void release(Bytes size)
-      SPIDER_JOURNALED("derived accounting, reconstructed by fsck phase-2; "
-                       "the owning namespace op is the journaled record");
+  void release(Bytes size);
   /// Force the used-space counter (fill-state experiments).
-  void set_used(Bytes used)
-      SPIDER_JOURNALED("experiment setup knob, not an operation: fill-state "
-                       "sweeps preload the counter before any workload runs")
-  { used_ = std::min(used, capacity()); }
+  void set_used(Bytes used) { used_ = std::min(used, capacity()); }
   /// Overwrite the object counter (spiderfsck orphan reclaim / lost-object
   /// accounting repair, and the seeded corruptions its tests inject).
   void fsck_set_object_count(std::uint64_t objects) { objects_ = objects; }

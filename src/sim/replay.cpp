@@ -3,27 +3,17 @@
 #include <bit>
 #include <sstream>
 
+#include "common/hash.hpp"
 #include "sim/flow_network.hpp"
 #include "sim/simulator.hpp"
 
 namespace spider::sim {
 
 namespace {
-constexpr std::uint64_t kFnvPrime = 1099511628211ull;
-
-std::uint64_t fold(std::uint64_t h, std::uint64_t v) {
-  // FNV-1a a byte at a time so every bit of v lands in the hash.
-  for (int i = 0; i < 8; ++i) {
-    h ^= (v >> (i * 8)) & 0xffu;
-    h *= kFnvPrime;
-  }
-  return h;
-}
-
 std::uint64_t fold_double(std::uint64_t h, double v) {
   // Bit-exact: +0.0 vs -0.0 or differently-rounded results hash differently,
   // which is the point — replay equality is bitwise, not approximate.
-  return fold(h, std::bit_cast<std::uint64_t>(v));
+  return fnv1a(h, std::bit_cast<std::uint64_t>(v));
 }
 }  // namespace
 
@@ -33,9 +23,9 @@ void ReplayRecorder::attach(Simulator& sim) {
 
 void ReplayRecorder::on_event(SimTime when, EventId id, std::uint64_t site) {
   records_.push_back(Record{when, id, site});
-  event_hash_ = fold(event_hash_, static_cast<std::uint64_t>(when));
-  event_hash_ = fold(event_hash_, id);
-  event_hash_ = fold(event_hash_, site);
+  event_hash_ = fnv1a(event_hash_, static_cast<std::uint64_t>(when));
+  event_hash_ = fnv1a(event_hash_, id);
+  event_hash_ = fnv1a(event_hash_, site);
 }
 
 void ReplayRecorder::record_resource_stats(const FlowNetwork& net) {
@@ -44,12 +34,12 @@ void ReplayRecorder::record_resource_stats(const FlowNetwork& net) {
     stats_hash_ = fold_double(stats_hash_, s.served);
     stats_hash_ = fold_double(stats_hash_, s.busy_integral);
     stats_hash_ = fold_double(stats_hash_, s.current_load);
-    stats_hash_ = fold(stats_hash_, s.flows_seen);
+    stats_hash_ = fnv1a(stats_hash_, s.flows_seen);
   }
 }
 
 std::uint64_t ReplayRecorder::combined_hash() const {
-  return fold(fold(1469598103934665603ull, event_hash_), stats_hash_);
+  return fnv1a(fnv1a(kFnvOffsetBasis, event_hash_), stats_hash_);
 }
 
 std::size_t ReplayRecorder::first_divergence(const ReplayRecorder& a,

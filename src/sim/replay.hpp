@@ -23,6 +23,7 @@
 #include <string>
 #include <vector>
 
+#include "common/hash.hpp"
 #include "sim/time.hpp"
 
 namespace spider::sim {
@@ -84,8 +85,8 @@ class ReplayRecorder {
 
  private:
   std::vector<Record> records_;
-  std::uint64_t event_hash_ = 1469598103934665603ull;  // FNV-1a offset basis
-  std::uint64_t stats_hash_ = 1469598103934665603ull;
+  std::uint64_t event_hash_ = kFnvOffsetBasis;
+  std::uint64_t stats_hash_ = kFnvOffsetBasis;
 };
 
 }  // namespace spider::sim

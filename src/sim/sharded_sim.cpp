@@ -8,6 +8,7 @@
 #include <stdexcept>
 #include <utility>
 
+#include "common/hash.hpp"
 #include "common/parallel.hpp"
 
 namespace spider::sim {
@@ -15,14 +16,6 @@ namespace spider::sim {
 namespace {
 
 constexpr SimTime kInfiniteHorizon = std::numeric_limits<SimTime>::max();
-
-std::uint64_t fnv64(std::uint64_t h, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    h ^= (v >> (8 * i)) & 0xff;
-    h *= 1099511628211ull;
-  }
-  return h;
-}
 
 }  // namespace
 
@@ -281,22 +274,22 @@ std::vector<ShardedReplay::Record> ShardedReplay::merged() const {
 }
 
 std::uint64_t ShardedReplay::merged_hash() const {
-  std::uint64_t h = 1469598103934665603ull;
+  std::uint64_t h = kFnvOffsetBasis;
   for (const Record& r : merged()) {
-    h = fnv64(h, static_cast<std::uint64_t>(r.when));
-    h = fnv64(h, r.shard);
-    h = fnv64(h, r.id);
-    h = fnv64(h, r.site);
+    h = fnv1a(h, static_cast<std::uint64_t>(r.when));
+    h = fnv1a(h, r.shard);
+    h = fnv1a(h, r.id);
+    h = fnv1a(h, r.site);
   }
   return h;
 }
 
 std::uint64_t ShardedReplay::stream_hash() const {
-  std::uint64_t h = 1469598103934665603ull;
+  std::uint64_t h = kFnvOffsetBasis;
   for (const Record& r : merged()) {
-    h = fnv64(h, static_cast<std::uint64_t>(r.when));
-    h = fnv64(h, r.shard);
-    h = fnv64(h, r.id);
+    h = fnv1a(h, static_cast<std::uint64_t>(r.when));
+    h = fnv1a(h, r.shard);
+    h = fnv1a(h, r.id);
   }
   return h;
 }

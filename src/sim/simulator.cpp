@@ -4,6 +4,8 @@
 #include <sstream>
 #include <stdexcept>
 
+#include "common/hash.hpp"
+
 namespace spider::sim {
 
 const char* source_basename(const char* path) {
@@ -20,14 +22,11 @@ std::uint64_t site_hash(const std::source_location& loc) {
   // dropping the directory prefix makes it reproducible across *checkouts*,
   // so replay hashes can be compared between machines and CI.
   const char* name = source_basename(loc.file_name());
-  std::uint64_t h = 1469598103934665603ull;
+  std::uint64_t h = kFnvOffsetBasis;
   for (const char* p = name; *p; ++p) {
-    h ^= static_cast<unsigned char>(*p);
-    h *= 1099511628211ull;
+    h = fnv1a_step(h, static_cast<unsigned char>(*p));
   }
-  h ^= loc.line();
-  h *= 1099511628211ull;
-  return h;
+  return fnv1a_step(h, loc.line());
 }
 
 EventId Simulator::schedule_at(SimTime when, EventFn fn, std::source_location loc) {

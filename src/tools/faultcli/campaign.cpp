@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <sstream>
 
+#include "common/hash.hpp"
 #include "fs/recovery.hpp"
 
 namespace spider::tools {
@@ -201,7 +202,7 @@ std::unique_ptr<sim::Oracle> make_purge_age_oracle(
       });
 }
 
-// spiderlint: census-ok — checked directly at churn epoch barriers (churn.cpp)
+// Registered per namespace by the churn runner (churn.cpp), not by the suite.
 std::unique_ptr<sim::Oracle> make_changelog_oracle(
     const fs::FsNamespace& ns, const fs::OpLog& log,
     fs::ChangelogAccounting& accounting) {
@@ -270,17 +271,16 @@ sim::PlanBounds campaign_bounds(const CampaignConfig& cfg) {
   return bounds;
 }
 
+// Site-free on purpose: a replay site is a file basename and line
+// (sim::site_hash), so replay_hash moves whenever a schedule call moves to
+// another line, even with behaviour unchanged. Folding only (when, id) makes
+// this hash move only when the simulated behaviour does, which is why the
+// golden traces (tests/incident_golden_test.cpp) pin it.
 std::uint64_t stream_hash(const sim::ReplayRecorder& recorder) {
-  std::uint64_t h = 1469598103934665603ull;
-  const auto fold = [&h](std::uint64_t v) {
-    for (int i = 0; i < 8; ++i) {
-      h ^= (v >> (8 * i)) & 0xff;
-      h *= 1099511628211ull;
-    }
-  };
+  std::uint64_t h = kFnvOffsetBasis;
   for (const auto& record : recorder.records()) {
-    fold(static_cast<std::uint64_t>(record.when));
-    fold(record.id);
+    h = fnv1a(h, static_cast<std::uint64_t>(record.when));
+    h = fnv1a(h, record.id);
   }
   return h;
 }
@@ -388,11 +388,11 @@ void FaultCampaign::start_rebuild(std::size_t g, std::size_t m) {
   const double duration_s = group.rebuild_time_s();
   rebuilds_.on_start(g, sim_.now(), duration_s);
   sim_.schedule_in(sim::from_seconds(duration_s), [this, g, m] {
-    auto& group = ssu_.group(g);
+    auto& rebuilt = ssu_.group(g);
     // An enclosure restore (or data loss) may have changed the member's
     // state since the rebuild began; finish only a still-running rebuild.
-    if (group.member_state(m) == block::MemberState::kRebuilding) {
-      group.finish_rebuild(m);
+    if (rebuilt.member_state(m) == block::MemberState::kRebuilding) {
+      rebuilt.finish_rebuild(m);
       rebuilds_.on_finish(g);
     } else {
       rebuilds_.on_abort(g);

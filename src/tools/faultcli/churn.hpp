@@ -17,7 +17,7 @@
 //
 // --churn-crash injects an MDS crash at an epoch barrier: one namespace's
 // log is truncated below its committed cursor (this is why the runner
-// lives in faultcli — spiderlint L13 confines truncate_to to the fault
+// lives in faultcli — truncate_to belongs to the fault and repair
 // tooling). Consumers must *detect* the rewind (cursor_ahead), resync
 // from ground truth, and be green again at the next barrier.
 #pragma once

@@ -19,23 +19,12 @@
 #include <vector>
 
 #include "common/rng.hpp"
+#include "core/storage_view.hpp"
 
 namespace spider::tools {
 
-/// Snapshot of component utilizations, indexed by component id.
-struct LoadSnapshot {
-  std::vector<double> ost_load;
-  std::vector<double> oss_load;
-  std::vector<double> router_load;
-};
-
-/// Static wiring libPIO needs: which OSS serves each OST, and which IB
-/// leaf each OSS and router sit on.
-struct StorageTopology {
-  std::vector<std::uint32_t> ost_to_oss;
-  std::vector<std::size_t> oss_to_leaf;
-  std::vector<std::size_t> router_to_leaf;
-};
+using core::LoadSnapshot;
+using core::StorageTopology;
 
 struct PlacementSuggestion {
   std::uint32_t ost = 0;

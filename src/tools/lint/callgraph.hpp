@@ -3,8 +3,8 @@
 //
 // Scope and limits (documented in docs/static-analysis.md): resolution is
 // by unqualified name within one translation unit (the linted file plus its
-// paired header's symbol index) — no overload resolution, no cross-TU
-// linking, no receiver-type tracking. That is exactly enough to trace the
+// paired header's symbol index) — no overload resolution, no linking
+// across translation units, no receiver-type tracking. That is exactly enough to trace the
 // helper-wrapper patterns this codebase uses (`zone_sim(z)` returning
 // `engine_.shard(map_.shard_of(z))`, private helpers threading a domain
 // index down to a schedule call), and the rules built on it (L9/L10) fire

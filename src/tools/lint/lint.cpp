@@ -7,7 +7,6 @@
 #include <sstream>
 
 #include "common/parallel.hpp"
-#include "tools/lint/global.hpp"
 
 // spiderlint-file: nondet-ok — steady_clock feeds only the --stats phase
 // timings, never a finding, a sort key, or an output byte.
@@ -105,7 +104,7 @@ LintReport lint_paths(const std::vector<std::string>& paths,
   const Clock::time_point t0 = Clock::now();
   // Read + scan stays serial: IO error reporting keeps a deterministic
   // order, and the scanner is a fraction of tokenize+rules cost. Scanned
-  // files are kept for the whole-program passes (L5 layering, L13-L16).
+  // files are kept for the project-wide L5 layering pass.
   std::vector<SourceFile> scanned;
   for (const std::string& path : collect_sources(paths, errors)) {
     const std::optional<std::string> contents = read_file(path);
@@ -158,18 +157,10 @@ LintReport lint_paths(const std::vector<std::string>& paths,
   report.findings.insert(report.findings.end(),
                          std::make_move_iterator(project.begin()),
                          std::make_move_iterator(project.end()));
-  GlobalOptions gopts;
-  gopts.rules = opts.rules;
-  gopts.forced_class = opts.forced_class;
-  gopts.jobs = opts.jobs;
-  std::vector<Finding> global = lint_global(scanned, gopts);
-  report.findings.insert(report.findings.end(),
-                         std::make_move_iterator(global.begin()),
-                         std::make_move_iterator(global.end()));
   const Clock::time_point t3 = Clock::now();
 
   // --only filters what is *reported*; everything above still saw the full
-  // file set (cross-TU rules are unsound on a partial index).
+  // file set (an include cycle needs every file on it).
   if (!opts.report_only.empty()) {
     report.findings.erase(
         std::remove_if(report.findings.begin(), report.findings.end(),

@@ -18,21 +18,18 @@
 //   --stats              print `spiderlint-stats: files=N findings=N
 //                        jobs=N wall_ms=N scan_ms=N rules_ms=N
 //                        global_ms=N` to stderr (CI surfaces it in the job
-//                        summary)
-//   --jobs=N             fan the per-file pass and the global index build
-//                        out over N workers (0 or omitted value = one per
-//                        hardware thread; default auto). Output is
-//                        byte-identical at any job count.
+//                        summary; global_ms times the L5 include-graph pass)
+//   --jobs=N             fan the per-file pass out over N workers (0 or
+//                        omitted value = one per hardware thread; default
+//                        auto). Output is byte-identical at any job count.
 //   --only=PATH          report findings only for matching files (exact or
-//                        path-suffix, repeatable). The whole-program index
+//                        path-suffix, repeatable). The L5 include graph
 //                        still sees every input file — scripts/lint.sh
-//                        --changed relies on this, because the cross-TU
-//                        rules L13-L16 are unsound on a partial index.
-//   --fix                apply the mechanically safe fixes (L1 container
-//                        swaps, L3 unit-alias renames) in place
+//                        --changed relies on this, because an include cycle
+//                        reported for one file runs through the others.
 //   --treat-as=CLASS     force file classification: sim-critical, src,
-//                        header, calib, fs (repeatable; for linting
-//                        fixtures that live outside src/)
+//                        header, calib (repeatable; for linting fixtures
+//                        that live outside src/)
 //   --list-rules         print the rule table and exit
 //
 // Exit codes: 0 clean (after baseline), 1 findings (or stale entries under
@@ -46,7 +43,6 @@
 #include <vector>
 
 #include "tools/lint/baseline.hpp"
-#include "tools/lint/fix.hpp"
 #include "tools/lint/lint.hpp"
 
 namespace {
@@ -67,8 +63,7 @@ int usage(const char* argv0) {
                "       [--rules=L1,..] [--baseline=FILE] [--write-baseline]\n"
                "       [--prune-baseline] [--stale=warn|error] [--stats]\n"
                "       [--jobs=N] [--only=PATH]...\n"
-               "       [--fix] "
-               "[--treat-as=sim-critical|src|header|calib|fs]...\n"
+               "       [--treat-as=sim-critical|src|header|calib]...\n"
                "       [--list-rules] <path>...\n",
                argv0);
   return 2;
@@ -88,7 +83,6 @@ int main(int argc, char** argv) {
   bool prune_baseline = false;
   bool stale_is_error = false;
   bool print_stats = false;
-  bool apply_fix = false;
   std::string baseline_path;
   std::vector<std::string> paths;
   FileClass forced;
@@ -103,8 +97,6 @@ int main(int argc, char** argv) {
       fix_hints = true;
     } else if (arg == "--write-baseline") {
       write_baseline = true;
-    } else if (arg == "--fix") {
-      apply_fix = true;
     } else if (arg == "--prune-baseline") {
       prune_baseline = true;
     } else if (arg == "--stats") {
@@ -165,14 +157,6 @@ int main(int argc, char** argv) {
           opts.rules.l11 = true;
         } else if (id == "L12") {
           opts.rules.l12 = true;
-        } else if (id == "L13") {
-          opts.rules.l13 = true;
-        } else if (id == "L14") {
-          opts.rules.l14 = true;
-        } else if (id == "L15") {
-          opts.rules.l15 = true;
-        } else if (id == "L16") {
-          opts.rules.l16 = true;
         } else {
           std::fprintf(stderr, "spiderlint: unknown rule '%.*s'\n",
                        static_cast<int>(id.size()), id.data());
@@ -194,11 +178,6 @@ int main(int argc, char** argv) {
       } else if (cls == "calib") {
         forced.in_src = true;
         forced.calib_scope = true;
-      } else if (cls == "fs") {
-        forced.in_src = true;
-        forced.sim_critical = true;
-        forced.calib_scope = true;
-        forced.fs_scope = true;
       } else {
         std::fprintf(stderr, "spiderlint: unknown class '%.*s'\n",
                      static_cast<int>(cls.size()), cls.data());
@@ -303,14 +282,6 @@ int main(int argc, char** argv) {
   if (write_baseline) {
     std::fputs(render_baseline(report).c_str(), stdout);
     return errors.empty() ? 0 : 2;
-  }
-
-  if (apply_fix) {
-    const FixResult fixed = apply_fixes(report, errors);
-    std::fprintf(stderr, "spiderlint: applied %zu fix%s in %zu file%s\n",
-                 fixed.fixes_applied, fixed.fixes_applied == 1 ? "" : "es",
-                 fixed.files_changed.size(),
-                 fixed.files_changed.size() == 1 ? "" : "s");
   }
 
   std::string rendered;

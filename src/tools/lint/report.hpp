@@ -14,7 +14,7 @@ struct LintReport {
   std::vector<Finding> findings;
   std::size_t files_scanned = 0;
   /// Per-phase wall time (milliseconds), reported by --stats: read+scan,
-  /// the per-file rule pass, and the whole-program pass (L5 + L13-L16).
+  /// the per-file rule pass, and the project-wide L5 include-graph pass.
   /// Not part of the JSON/SARIF renderings — timing is telemetry, not a
   /// finding.
   double scan_ms = 0.0;

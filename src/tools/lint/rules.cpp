@@ -114,39 +114,6 @@ const std::vector<RuleInfo> kRules = {
      "capture by value, guard the member (SPIDER_GUARDED_BY + lock, or "
      "std::atomic), or join the pool (wait_idle()/condition-variable wait "
      "in the submitting function) before captured locals go out of scope"},
-    {"L13", "repair-confinement", Severity::kError,
-     "a repair-only mutator (fsck_set_*, records_mutable, truncate_to, "
-     "SPIDER_REPAIR_ONLY) is reachable through the global call graph from "
-     "outside tools/spiderfsck/, tools/faultcli/, tests/, or bench/",
-     "repair-ok",
-     "route the state change through the normal mutation API (it journals "
-     "and maintains invariants), move the caller into a repair tool, or "
-     "annotate a deliberate escape hatch with // spiderlint: repair-ok"},
-    {"L14", "journal-before-mutation", Severity::kError,
-     "a member function of a repair-surfaced class under src/fs/ mutates "
-     "member state without an earlier OpLog append in the same body",
-     "journal-ok",
-     "append the operation's OpRecord to the journal before touching "
-     "state (crash between journal and mutation replays; the reverse "
-     "order loses the op), or annotate SPIDER_JOURNALED(why) when another "
-     "layer owns the journaling"},
-    {"L15", "census-exhaustiveness", Severity::kError,
-     "a FindingKind enumerator lacks an inject_corruption case, a repair "
-     "case, or a test mention; a FaultKind enumerator lacks an injector "
-     "binding or a test mention; or a make_*_oracle factory is never "
-     "registered — the kind would ship half-wired",
-     "census-ok",
-     "wire the new kind end to end: add the inject_corruption case, the "
-     "repair-switch case (or bind()/add() registration), and a test that "
-     "names the enumerator"},
-    {"L16", "determinism-taint", Severity::kError,
-     "a value derived from a nondeterminism source (wall clock, rand, "
-     "thread id, pointer identity) flows into a scheduled delay, a hash "
-     "input, or a journal record",
-     "taint-ok",
-     "derive the value from simulation state (sim.now(), seeded Rng, "
-     "stable ids) instead; host-side nondeterminism in these sinks makes "
-     "replay hashes and journals irreproducible"},
 };
 
 /// True when a flattened argument list carries a scheduling site.
@@ -1268,10 +1235,6 @@ bool RuleSet::enabled(std::string_view id) const {
   if (id == "L10") return l10;
   if (id == "L11") return l11;
   if (id == "L12") return l12;
-  if (id == "L13") return l13;
-  if (id == "L14") return l14;
-  if (id == "L15") return l15;
-  if (id == "L16") return l16;
   return false;
 }
 
@@ -1279,7 +1242,6 @@ RuleSet RuleSet::none() {
   RuleSet off;
   off.l1 = off.l2 = off.l3 = off.l4 = off.l5 = off.l6 = false;
   off.l7 = off.l8 = off.l9 = off.l10 = off.l11 = off.l12 = false;
-  off.l13 = off.l14 = off.l15 = off.l16 = false;
   return off;
 }
 
@@ -1309,7 +1271,6 @@ FileClass classify_path(std::string_view path) {
         cls.sim_critical =
             sub == "sim" || sub == "block" || sub == "fs" || sub == "net";
         cls.calib_scope = sub == "block" || sub == "fs" || sub == "net";
-        cls.fs_scope = sub == "fs";
         cls.rng_home = sub == "common" && root + 2 < parts.size() &&
                        (parts[root + 2] == "rng.cpp" ||
                         parts[root + 2] == "rng.hpp");

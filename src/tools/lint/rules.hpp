@@ -64,29 +64,6 @@
 //       submit needs wait_idle()/a condition-variable wait in the same
 //       function). Suppress: // spiderlint: pool-ok
 //
-// Rules L13-L16 are whole-program: they run on the cross-TU global index
-// (global.hpp), not per file.
-//
-//   L13 repair-confinement  (error)   fsck_set_*/records_mutable/
-//       truncate_to/SPIDER_REPAIR_ONLY functions may only be reached —
-//       through the global call graph — from tools/spiderfsck/,
-//       tools/faultcli/, tests/, or bench/.
-//       Suppress: // spiderlint: repair-ok
-//   L14 journal-before-mutation (error) a member function of a class that
-//       exposes repair mutators, defined under src/fs/, must append to an
-//       OpLog before mutating member state, or carry SPIDER_JOURNALED(why).
-//       Suppress: // spiderlint: journal-ok
-//   L15 census-exhaustiveness (error) every FindingKind enumerator needs an
-//       inject_corruption case, a repair case, and a test mention; every
-//       FaultKind enumerator needs an injector binding and a test mention;
-//       every declared make_*_oracle factory must be registered via add().
-//       Suppress: // spiderlint: census-ok
-//   L16 determinism-taint   (error)   values derived from nondeterminism
-//       sources (wall clocks, rand, thread ids, pointer identity) must not
-//       flow — including through calls, interprocedurally — into scheduled
-//       delays, hash inputs, or journal records.
-//       Suppress: // spiderlint: taint-ok
-//
 // A suppression is a trailing comment on the flagged line, a comment-only
 // line directly above, `// spiderlint-next-line: <token>` on the previous
 // line, or `// spiderlint-file: <token>` anywhere in the file:
@@ -147,10 +124,6 @@ struct RuleSet {
   bool l10 = true;
   bool l11 = true;
   bool l12 = true;
-  bool l13 = true;
-  bool l14 = true;
-  bool l15 = true;
-  bool l16 = true;
   bool enabled(std::string_view id) const;
   /// A RuleSet with every rule off (for --rules=... accumulation).
   static RuleSet none();
@@ -163,7 +136,6 @@ struct FileClass {
   bool is_header = false;     ///< *.hpp/*.h: L3 applies
   bool rng_home = false;      ///< src/common/rng.*: mt19937 exempt from L2
   bool calib_scope = false;   ///< under src/{block,fs,net}: L8 applies
-  bool fs_scope = false;      ///< under src/fs/: L14 applies (global.hpp)
   bool in_tests = false;      ///< under tests/: L1+L2 only
   bool in_bench = false;      ///< under bench/: L1+L2 only
 };

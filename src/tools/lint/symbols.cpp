@@ -110,52 +110,13 @@ FileSymbols index_symbols(const TokenStream& stream) {
       continue;
     }
 
-    // --- enum: record name + enumerators, then skip the block ---------------
+    // --- enum: skip the enumerator block ------------------------------------
     // Enumerator identifiers must not leak into the surrounding scope's
-    // declaration parsing (kFoo = 3 is not a member), so the block is still
-    // consumed wholesale — but its contents now feed the L15 exhaustiveness
-    // census (global.hpp).
+    // declaration parsing (kFoo = 3 is not a member).
     if (tok.text == "enum" && at_decl_scope()) {
       std::size_t j = i + 1;
-      EnumSym en;
-      if (j < t.size() && t[j].kind == TokKind::kIdent &&
-          (t[j].text == "class" || t[j].text == "struct")) {
-        en.scoped = true;
-        ++j;
-      }
-      if (j < t.size() && t[j].kind == TokKind::kIdent) {
-        en.name = t[j].text;
-        en.line = t[j].line;
-        ++j;
-      }
       while (j < t.size() && !is_punct(t[j], "{") && !is_punct(t[j], ";")) ++j;
-      if (j < t.size() && is_punct(t[j], "{")) {
-        const std::size_t close = matching_close(t, j);
-        // Enumerators: an identifier at depth 0 directly after `{` or `,`.
-        // Initializer expressions (= kOther + 1) are skipped to the next
-        // depth-0 comma, so their identifiers are never misread as names.
-        std::size_t k = j + 1;
-        bool expect_name = true;
-        int depth = 0;
-        while (k < close && k < t.size()) {
-          const Tok& et = t[k];
-          if (et.kind == TokKind::kPunct && et.text.size() == 1) {
-            const char c = et.text[0];
-            if (c == '(' || c == '{' || c == '[' || c == '<') ++depth;
-            if (c == ')' || c == '}' || c == ']' || c == '>') --depth;
-            if (c == ',' && depth == 0) expect_name = true;
-            ++k;
-            continue;
-          }
-          if (expect_name && et.kind == TokKind::kIdent && depth == 0) {
-            en.enumerators.push_back(Enumerator{et.text, et.line});
-            expect_name = false;
-          }
-          ++k;
-        }
-        if (!en.name.empty()) out.enums.push_back(std::move(en));
-        j = close;
-      }
+      if (j < t.size() && is_punct(t[j], "{")) j = matching_close(t, j);
       i = j + 1;
       continue;
     }
@@ -340,19 +301,6 @@ FileSymbols index_symbols(const TokenStream& stream) {
           if (tr.text == "SPIDER_REQUIRES") {
             fn.requires_mutexes.push_back(flatten(t, j + 2, close));
           }
-          j = close + 1;
-          continue;
-        }
-        if (tr.kind == TokKind::kIdent && tr.text == "SPIDER_REPAIR_ONLY") {
-          fn.repair_only = true;  // bare marker, no argument list (L13)
-          ++j;
-          continue;
-        }
-        if (tr.kind == TokKind::kIdent && tr.text == "SPIDER_JOURNALED" &&
-            j + 1 < t.size() && is_punct(t[j + 1], "(")) {
-          const std::size_t close = matching_close(t, j + 1);
-          fn.journaled = true;  // justification argument required (L14)
-          fn.journaled_why = flatten(t, j + 2, close);
           j = close + 1;
           continue;
         }

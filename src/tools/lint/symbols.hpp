@@ -91,28 +91,10 @@ struct FunctionSym {
   std::size_t params_begin = 0;
   std::size_t params_end = 0;
   std::vector<std::string> requires_mutexes;  ///< SPIDER_REQUIRES(args)
-  bool repair_only = false;  ///< SPIDER_REPAIR_ONLY trailer (L13)
-  bool journaled = false;    ///< SPIDER_JOURNALED(why) trailer (L14)
-  std::string journaled_why;  ///< flattened SPIDER_JOURNALED argument
   /// Body token range [body_begin, body_end) into the file's TokenStream
   /// (both 0 when this is a declaration only).
   std::size_t body_begin = 0;
   std::size_t body_end = 0;
-};
-
-/// One enumerator of a parsed enum.
-struct Enumerator {
-  std::string name;
-  std::size_t line = 0;  ///< 0-based declaration line
-};
-
-/// A named enum (scoped or not) with its enumerator list — the raw material
-/// for the L15 exhaustiveness census (global.hpp).
-struct EnumSym {
-  std::string name;
-  bool scoped = false;   ///< `enum class`/`enum struct`
-  std::size_t line = 0;  ///< 0-based line of the enum-head name
-  std::vector<Enumerator> enumerators;
 };
 
 struct FileSymbols {
@@ -120,7 +102,6 @@ struct FileSymbols {
   std::vector<FunctionSym> functions;
   std::vector<GuardedMember> guarded;
   std::vector<ShardOwnedMember> shard_owned;
-  std::vector<EnumSym> enums;
   std::vector<std::size_t> template_head_lines;  ///< 0-based
 };
 

@@ -9,6 +9,7 @@
 #include <tuple>
 #include <utility>
 
+#include "common/hash.hpp"
 #include "common/parallel.hpp"
 #include "fs/recovery.hpp"
 #include "sim/time.hpp"
@@ -18,25 +19,6 @@ namespace spider::tools {
 namespace {
 
 constexpr std::size_t kDefaultShards = 8;
-
-// FNV-1a, byte-folded — the same digest discipline stream_hash() uses for
-// replay streams, applied to fsck state and findings.
-struct Fnv {
-  std::uint64_t h = 1469598103934665603ull;
-  void fold(std::uint64_t v) {
-    for (int i = 0; i < 8; ++i) {
-      h ^= (v >> (8 * i)) & 0xff;
-      h *= 1099511628211ull;
-    }
-  }
-  void fold_str(const std::string& s) {
-    for (char c : s) {
-      h ^= static_cast<unsigned char>(c);
-      h *= 1099511628211ull;
-    }
-    fold(s.size());
-  }
-};
 
 std::string to_hex(std::uint64_t v) {
   static constexpr char kDigits[] = "0123456789abcdef";
@@ -354,14 +336,14 @@ FsckReport run_fsck(const FsckTarget& target, const FsckOptions& options) {
 
   std::stable_sort(report.findings.begin(), report.findings.end(),
                    finding_less);
-  Fnv fh;
+  std::uint64_t fh = kFnvOffsetBasis;
   for (const Finding& f : report.findings) {
-    fh.fold(static_cast<std::uint64_t>(f.kind));
-    fh.fold(f.file);
-    fh.fold(static_cast<std::uint64_t>(f.ost));
-    fh.fold_str(f.detail);
+    fh = fnv1a(fh, static_cast<std::uint64_t>(f.kind));
+    fh = fnv1a(fh, f.file);
+    fh = fnv1a(fh, static_cast<std::uint64_t>(f.ost));
+    fh = fnv1a(fnv1a_bytes(fh, f.detail), f.detail.size());
   }
-  report.findings_hash = fh.h;
+  report.findings_hash = fh;
 
   // --- phase 3: serial repair in canonical order --------------------------
   if (options.repair) {
@@ -483,47 +465,46 @@ std::uint64_t fsck_state_hash(const FsckTarget& target) {
     throw std::invalid_argument("fsck_state_hash: target.ns is required");
   }
   fs::FsNamespace& ns = *target.ns;
-  Fnv fnv;
-  fnv.fold(ns.slot_count());
+  std::uint64_t h = fnv1a(kFnvOffsetBasis, ns.slot_count());
   for (std::size_t slot = 0; slot < ns.slot_count(); ++slot) {
     const fs::FileRecord& rec = ns.slot_record(slot);
-    fnv.fold(rec.id);
-    fnv.fold(rec.project);
-    fnv.fold(rec.size);
-    fnv.fold(static_cast<std::uint64_t>(rec.atime));
-    fnv.fold(static_cast<std::uint64_t>(rec.mtime));
-    fnv.fold(static_cast<std::uint64_t>(rec.ctime));
-    fnv.fold(rec.stripe_offset);
-    fnv.fold(rec.stripe_count);
-    fnv.fold(rec.alive ? 1 : 0);
-    for (std::uint32_t entry : ns.fsck_stripes(rec)) fnv.fold(entry);
+    h = fnv1a(h, rec.id);
+    h = fnv1a(h, rec.project);
+    h = fnv1a(h, rec.size);
+    h = fnv1a(h, static_cast<std::uint64_t>(rec.atime));
+    h = fnv1a(h, static_cast<std::uint64_t>(rec.mtime));
+    h = fnv1a(h, static_cast<std::uint64_t>(rec.ctime));
+    h = fnv1a(h, rec.stripe_offset);
+    h = fnv1a(h, rec.stripe_count);
+    h = fnv1a(h, rec.alive ? 1 : 0);
+    for (std::uint32_t entry : ns.fsck_stripes(rec)) h = fnv1a(h, entry);
   }
-  fnv.fold(ns.live_files());
-  fnv.fold(ns.total_created());
+  h = fnv1a(h, ns.live_files());
+  h = fnv1a(h, ns.total_created());
   for (std::size_t i = 0; i < ns.num_osts(); ++i) {
-    fnv.fold(ns.ost(i).used());
-    fnv.fold(ns.ost(i).object_count());
-    fnv.fold(ns.ost(i).capacity());
+    h = fnv1a(h, ns.ost(i).used());
+    h = fnv1a(h, ns.ost(i).object_count());
+    h = fnv1a(h, ns.ost(i).capacity());
   }
   if (target.journal != nullptr) {
-    fnv.fold(target.journal->size());
+    h = fnv1a(h, target.journal->size());
     for (const fs::OpRecord& rec : target.journal->records()) {
-      fnv.fold(rec.txid);
-      fnv.fold(static_cast<std::uint64_t>(rec.kind));
-      fnv.fold(rec.file);
-      fnv.fold(rec.project);
-      fnv.fold(rec.size);
-      fnv.fold(static_cast<std::uint64_t>(rec.at));
+      h = fnv1a(h, rec.txid);
+      h = fnv1a(h, static_cast<std::uint64_t>(rec.kind));
+      h = fnv1a(h, rec.file);
+      h = fnv1a(h, rec.project);
+      h = fnv1a(h, rec.size);
+      h = fnv1a(h, static_cast<std::uint64_t>(rec.at));
     }
-    fnv.fold(target.journal->committed());
+    h = fnv1a(h, target.journal->committed());
   }
   if (target.dne != nullptr) {
-    fnv.fold(target.dne->mdts());
+    h = fnv1a(h, target.dne->mdts());
     for (std::size_t m = 0; m < target.dne->mdts(); ++m) {
-      fnv.fold(std::bit_cast<std::uint64_t>(target.dne->load_of(m)));
+      h = fnv1a(h, std::bit_cast<std::uint64_t>(target.dne->load_of(m)));
     }
   }
-  return fnv.h;
+  return h;
 }
 
 // --- seeded corruption ------------------------------------------------------

@@ -96,6 +96,19 @@ enum class FindingKind : std::uint8_t {
   kDneLoadDrift,
 };
 
+/// Every finding kind, in declaration order: what the CLI's --corrupt cycle,
+/// the bench's corrupt-everything pass, and the per-kind round-trip test
+/// iterate. The name, inject, and repair switches over FindingKind have no
+/// default, so under -Werror a new enumerator does not build until it has
+/// all three cases; fsck_test then fails until it is listed here too.
+inline constexpr FindingKind kAllFindingKinds[] = {
+    FindingKind::kBadRecordId,          FindingKind::kDanglingStripe,
+    FindingKind::kJournalMissingCreate, FindingKind::kJournalMissingUnlink,
+    FindingKind::kJournalGhostUnlink,   FindingKind::kLiveCountDrift,
+    FindingKind::kCreateCountDrift,     FindingKind::kOrphanObjects,
+    FindingKind::kLostObjects,          FindingKind::kDneLoadDrift,
+};
+
 /// Stable lowercase-kebab name (JSON `kind` field, test assertions).
 std::string_view finding_kind_name(FindingKind kind);
 

@@ -116,20 +116,9 @@ int main(int argc, char** argv) {
   // Seeded corruptions cycle through the finding kinds so --corrupt=10
   // exercises every detector; inapplicable kinds are skipped.
   Rng corrupt_rng(fs_cfg.seed ^ 0x5fc5ull);
-  constexpr tools::FindingKind kKinds[] = {
-      tools::FindingKind::kBadRecordId,
-      tools::FindingKind::kDanglingStripe,
-      tools::FindingKind::kJournalMissingCreate,
-      tools::FindingKind::kJournalMissingUnlink,
-      tools::FindingKind::kJournalGhostUnlink,
-      tools::FindingKind::kLiveCountDrift,
-      tools::FindingKind::kCreateCountDrift,
-      tools::FindingKind::kOrphanObjects,
-      tools::FindingKind::kLostObjects,
-      tools::FindingKind::kDneLoadDrift,
-  };
   for (std::uint64_t c = 0; c < corruptions; ++c) {
-    const tools::FindingKind kind = kKinds[c % std::size(kKinds)];
+    const tools::FindingKind kind =
+        tools::kAllFindingKinds[c % std::size(tools::kAllFindingKinds)];
     const std::string what = tools::inject_corruption(target, kind, corrupt_rng);
     if (!what.empty()) {
       std::fprintf(stderr, "spiderfsck: injected [%s] %s\n",

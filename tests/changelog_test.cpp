@@ -201,8 +201,8 @@ TEST(ChangelogCursor, InteriorGapIsDiagnosedWithFirstMissingTxid) {
     log.append(OpKind::kCreate, 100 + i, 0, 1_MiB, i);
   }
   log.commit(5);
-  // Seeded corruption: drop record 3 (L13 confines this surface to tests
-  // and the fault tooling).
+  // Seeded corruption: drop record 3 (records_mutable is the corruption
+  // surface for tests and the fault tooling).
   auto& recs = log.records_mutable();
   recs.erase(recs.begin() + 2);
   ChangelogCursor cursor;

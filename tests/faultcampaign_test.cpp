@@ -90,6 +90,16 @@ TEST(FaultCampaign, StormPlanFiresInjectionsAndStaysClean) {
   EXPECT_GT(verdict.files_created, 10u);
 }
 
+TEST(FaultCampaign, EveryFaultKindHasAnInjectorBinding) {
+  // The plan parser accepts every kind, but arm() throws on an unbound one
+  // only once some plan uses it: check the whole table up front.
+  FaultCampaign campaign(benign_plan(), 1);
+  for (std::size_t i = 0; i < kFaultKindCount; ++i) {
+    const auto kind = static_cast<FaultKind>(i);
+    EXPECT_TRUE(campaign.injector().bound(kind)) << to_string(kind);
+  }
+}
+
 TEST(FaultCampaign, IdenticalPlanAndSeedGiveIdenticalHashes) {
   const RunVerdict a = run_campaign(stormy_plan(), 7);
   const RunVerdict b = run_campaign(stormy_plan(), 7);

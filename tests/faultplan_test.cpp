@@ -117,8 +117,8 @@ TEST(FaultPlanParse, KindAndTriggerNamesRoundTrip) {
   }
   // Every kind by name, not just by index: the numeric loop above would
   // keep passing if a kind were dropped from the parse table together with
-  // its enumerator, and spiderlint L15 pins each enumerator to at least one
-  // test that names it.
+  // its enumerator. FaultCampaign.EveryFaultKindHasAnInjectorBinding covers
+  // the binding side of the same table.
   EXPECT_EQ(to_string(FaultKind::kDiskFail), "disk-fail");
   EXPECT_EQ(to_string(FaultKind::kDiskPartial), "disk-partial");
   EXPECT_EQ(to_string(FaultKind::kSlowDiskOnset), "slow-disk-onset");

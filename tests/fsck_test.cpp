@@ -109,6 +109,34 @@ TEST(FsckBreach, DneLoadDriftIsDetectedAndRepaired) {
   EXPECT_TRUE(tools::run_fsck(fs.target()).clean());
 }
 
+TEST(FsckBreach, EveryListedKindRoundTripsOnTheSyntheticCluster) {
+  // kAllFindingKinds is the kind census: it lists the enumerators in order
+  // and ends where the named ones do. The synthetic cluster carries every
+  // facet a kind can damage (journal and DNE), so each kind must inject, be
+  // named by a dry run, and repair to a clean tree.
+  const std::size_t kinds = std::size(tools::kAllFindingKinds);
+  EXPECT_EQ(tools::finding_kind_name(static_cast<tools::FindingKind>(kinds)),
+            "unknown");
+  for (std::size_t i = 0; i < kinds; ++i) {
+    const tools::FindingKind kind = tools::kAllFindingKinds[i];
+    SCOPED_TRACE(std::string(tools::finding_kind_name(kind)));
+    EXPECT_EQ(static_cast<std::size_t>(kind), i);
+    tools::SyntheticFs fs = tools::make_synthetic_fs();
+    Rng rng(7 + i);
+    const std::string damage = tools::inject_corruption(fs.target(), kind, rng);
+    ASSERT_FALSE(damage.empty());
+    const tools::FsckReport dry = tools::run_fsck(fs.target());
+    EXPECT_TRUE(has_kind(dry, kind))
+        << damage << "\n" << tools::fsck_report_json(dry);
+
+    tools::FsckOptions repair;
+    repair.repair = true;
+    EXPECT_FALSE(tools::run_fsck(fs.target(), repair).clean());
+    const tools::FsckReport after = tools::run_fsck(fs.target());
+    EXPECT_TRUE(after.clean()) << tools::fsck_report_json(after);
+  }
+}
+
 TEST(FsckBreach, CleanTreesProduceNoFindings) {
   tools::SyntheticFs fs = tools::make_synthetic_fs();
   const tools::FsckReport report = tools::run_fsck(fs.target());

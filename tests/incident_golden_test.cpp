@@ -16,6 +16,7 @@
 #include <string>
 
 #include "block/failure.hpp"
+#include "common/hash.hpp"
 #include "common/rng.hpp"
 #include "sim/faultplan.hpp"
 #include "tools/faultcli/campaign.hpp"
@@ -24,31 +25,15 @@ namespace {
 
 using namespace spider;
 
-std::uint64_t fnv(std::uint64_t h, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    h ^= (v >> (8 * i)) & 0xff;
-    h *= 1099511628211ull;
-  }
-  return h;
-}
-
-std::uint64_t fnv(std::uint64_t h, const std::string& s) {
-  for (char c : s) {
-    h ^= static_cast<unsigned char>(c);
-    h *= 1099511628211ull;
-  }
-  return h;
-}
-
 std::uint64_t outcome_hash(const block::IncidentOutcome& outcome) {
-  std::uint64_t h = 1469598103934665603ull;
-  h = fnv(h, outcome.enclosures);
-  h = fnv(h, outcome.data_lost ? 1 : 0);
-  h = fnv(h, outcome.groups_lost);
-  h = fnv(h, outcome.journal_files_lost);
-  h = fnv(h, static_cast<std::uint64_t>(outcome.recovered_fraction * 1e6));
-  h = fnv(h, static_cast<std::uint64_t>(outcome.recovery_days * 1e6));
-  for (const std::string& line : outcome.timeline) h = fnv(h, line);
+  std::uint64_t h = kFnvOffsetBasis;
+  h = fnv1a(h, outcome.enclosures);
+  h = fnv1a(h, outcome.data_lost ? 1 : 0);
+  h = fnv1a(h, outcome.groups_lost);
+  h = fnv1a(h, outcome.journal_files_lost);
+  h = fnv1a(h, static_cast<std::uint64_t>(outcome.recovered_fraction * 1e6));
+  h = fnv1a(h, static_cast<std::uint64_t>(outcome.recovery_days * 1e6));
+  for (const std::string& line : outcome.timeline) h = fnv1a_bytes(h, line);
   return h;
 }
 

@@ -5,18 +5,12 @@
 // gate never sees them); classification is forced per fixture the same way
 // the CLI's --treat-as does it.
 #include <algorithm>
-#include <cstdlib>
-#include <filesystem>
-#include <fstream>
-#include <iterator>
 #include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "tools/lint/baseline.hpp"
-#include "tools/lint/fix.hpp"
-#include "tools/lint/global.hpp"
 #include "tools/lint/lint.hpp"
 #include "tools/lint/report.hpp"
 #include "tools/lint/rules.hpp"
@@ -146,9 +140,9 @@ TEST(SpiderLint, JsonReportCarriesFindings) {
 }
 
 TEST(SpiderLint, RuleTableIsComplete) {
-  ASSERT_EQ(rules().size(), 16u);
-  const char* ids[] = {"L1", "L2", "L3", "L4", "L5", "L6", "L7", "L8",
-                       "L9", "L10", "L11", "L12", "L13", "L14", "L15", "L16"};
+  ASSERT_EQ(rules().size(), 12u);
+  const char* ids[] = {"L1", "L2", "L3", "L4",  "L5",  "L6",
+                       "L7", "L8", "L9", "L10", "L11", "L12"};
   for (const char* id : ids) {
     const RuleInfo* info = rule(id);
     ASSERT_NE(info, nullptr) << id;
@@ -156,7 +150,7 @@ TEST(SpiderLint, RuleTableIsComplete) {
     EXPECT_FALSE(info->suppression.empty());
     EXPECT_FALSE(info->hint.empty());
   }
-  EXPECT_EQ(rule("L17"), nullptr);
+  EXPECT_EQ(rule("L13"), nullptr);
 }
 
 TEST(SpiderLint, CollectSourcesIsSortedAndDeduplicated) {
@@ -166,7 +160,7 @@ TEST(SpiderLint, CollectSourcesIsSortedAndDeduplicated) {
   const std::vector<std::string> twice = collect_sources(
       {SPIDER_LINT_FIXTURES_DIR, fixture("l2_nondet_source.cpp")}, errors);
   EXPECT_TRUE(errors.empty());
-  EXPECT_EQ(once.size(), 32u) << "fixture census drifted";
+  EXPECT_EQ(once.size(), 21u) << "fixture census drifted";
   EXPECT_EQ(once, twice);
   EXPECT_TRUE(std::is_sorted(once.begin(), once.end()));
 }
@@ -344,173 +338,12 @@ TEST(SpiderLint, SuppressionScopesAreExactlyScoped) {
   EXPECT_EQ(r.findings[0].line, 26u);  // d_ past the next-line scope
 }
 
-// ---------------------------------------------------------------------------
-// Whole-program rules (L13-L16): cross-TU linking, repair-surface
-// reachability, journal ordering, census exhaustiveness, determinism taint.
-// Tree fixtures are linted unforced so the path-based context rules apply;
-// flat fixtures are forced into the scope their rule guards.
-
-constexpr FileClass kFs{.in_src = true, .fs_scope = true};
-
-LintReport lint_rules(const std::string& name, const RuleSet& rules,
-                      std::optional<FileClass> cls = std::nullopt) {
-  LintOptions opts;
-  opts.rules = rules;
-  opts.forced_class = cls;
-  std::vector<std::string> errors;
-  LintReport report = lint_paths({fixture(name)}, opts, errors);
-  EXPECT_TRUE(errors.empty()) << (errors.empty() ? "" : errors.front());
-  return report;
-}
-
-RuleSet just(bool RuleSet::* flag) {
-  RuleSet rules = RuleSet::none();
-  rules.*flag = true;
-  return rules;
-}
-
-TEST(SpiderLint, L13FlagsRepairSurfaceEscapesOnly) {
-  // The direct trigger call, the annotated-trigger call, and the
-  // interprocedural reach fire from src/core; the spiderfsck and tests
-  // callers plus the suppressed call are the engineered false positives.
-  const LintReport r = lint_rules("l13_repair", just(&RuleSet::l13));
-  ASSERT_EQ(r.findings.size(), 3u) << render_text(r, /*fix_hints=*/false);
-  EXPECT_EQ(r.findings[0].rule, "L13");
-  EXPECT_EQ(r.findings[0].line, 13u);  // t.fsck_set_count(0)
-  EXPECT_EQ(r.findings[0].severity, Severity::kError);
-  EXPECT_NE(r.findings[0].message.find("'fsck_set_count'"),
-            std::string::npos);
-  EXPECT_EQ(r.findings[1].line, 17u);  // t.scrub_reset() (SPIDER_REPAIR_ONLY)
-  EXPECT_NE(r.findings[1].message.find("'scrub_reset'"), std::string::npos);
-  EXPECT_EQ(r.findings[2].line, 21u);  // reset_all(t)
-  EXPECT_NE(r.findings[2].message.find("reset_all -> fsck_set_count"),
-            std::string::npos);
-}
-
-TEST(SpiderLint, L14FlagsUnjournaledMutationOnly) {
-  // The mutate-then-append method fires; the append-first method, the
-  // SPIDER_JOURNALED method, and the suppressed line are the engineered
-  // false positives.
-  const LintReport r =
-      lint_rules("l14_journal.cpp", just(&RuleSet::l14), kFs);
-  ASSERT_EQ(r.findings.size(), 1u) << render_text(r, /*fix_hints=*/false);
-  EXPECT_EQ(r.findings[0].rule, "L14");
-  EXPECT_EQ(r.findings[0].line, 27u);  // total_ += v before the append
-  EXPECT_EQ(r.findings[0].severity, Severity::kError);
-  EXPECT_NE(r.findings[0].message.find("'Ledger::add'"), std::string::npos);
-  EXPECT_NE(r.findings[0].message.find("'total_'"), std::string::npos);
-}
-
-TEST(SpiderLint, L15FlagsCensusGapsOnly) {
-  // kHalfWired (no repair case, no test mention), kUnbound (no bind, no
-  // test mention), and the unregistered oracle factory fire; kGood, kBound,
-  // make_good_oracle, and the suppressed kWaived are the engineered false
-  // positives.
-  const LintReport r = lint_rules("l15_census", just(&RuleSet::l15));
-  ASSERT_EQ(r.findings.size(), 3u) << render_text(r, /*fix_hints=*/false);
-  EXPECT_EQ(r.findings[0].rule, "L15");
-  EXPECT_EQ(r.findings[0].line, 11u);  // kHalfWired
-  EXPECT_NE(r.findings[0].message.find(
-                "FindingKind::kHalfWired is half-wired: no repair case, "
-                "no test mention"),
-            std::string::npos);
-  EXPECT_EQ(r.findings[1].line, 17u);  // kUnbound
-  EXPECT_NE(r.findings[1].message.find("no injector binding"),
-            std::string::npos);
-  EXPECT_EQ(r.findings[2].line, 25u);  // make_lost_oracle declaration
-  EXPECT_NE(r.findings[2].message.find("'make_lost_oracle'"),
-            std::string::npos);
-}
-
-TEST(SpiderLint, L16FlagsTaintedSinksOnly) {
-  // The taint-returning helper, the tainted local, the hash input, and the
-  // journal record fire; the clean reassignment, the non-sink call, and
-  // the suppressed sink are the engineered false positives.
-  const LintReport r =
-      lint_rules("l16_taint.cpp", just(&RuleSet::l16), kSrc);
-  ASSERT_EQ(r.findings.size(), 4u) << render_text(r, /*fix_hints=*/false);
-  EXPECT_EQ(r.findings[0].rule, "L16");
-  EXPECT_EQ(r.findings[0].line, 33u);  // schedule_in(wall_ms(), ...)
-  EXPECT_NE(r.findings[0].message.find("via wall_ms()"), std::string::npos);
-  EXPECT_EQ(r.findings[1].line, 39u);  // schedule_at(t, ...)
-  EXPECT_NE(r.findings[1].message.find("via local 't'"), std::string::npos);
-  EXPECT_EQ(r.findings[2].line, 43u);  // mix_hash(..., rand())
-  EXPECT_NE(r.findings[2].message.find("a hash input"), std::string::npos);
-  EXPECT_EQ(r.findings[3].line, 47u);  // journal_.append(clock())
-  EXPECT_NE(r.findings[3].message.find("a journal record"),
-            std::string::npos);
-}
-
-// --- cross-TU resolution edge cases on the global index itself -------------
-
-TEST(SpiderLintGlobal, LinksForwardDeclarationsToTheirDefinition) {
-  std::vector<SourceFile> files;
-  files.push_back(scan_source("src/core/a.hpp", "void helper(int);\n"));
-  files.push_back(scan_source("src/core/a.cpp",
-                              "void helper(int x) { (void)x; }\n"));
-  const GlobalIndex index(files);
-  EXPECT_EQ(index.definitions("helper").size(), 1u);
-  EXPECT_EQ(index.occurrences("helper").size(), 2u);
-  EXPECT_TRUE(index.definitions("absent").empty());
-}
-
-TEST(SpiderLintGlobal, OutOfLineDefinitionCarriesItsClass) {
-  std::vector<SourceFile> files;
-  files.push_back(scan_source(
-      "src/fs/w.hpp",
-      "class Widget {\n public:\n  void touch();\n"
-      "  void fsck_set_n(int n);\n};\n"));
-  files.push_back(scan_source("src/fs/w.cpp",
-                              "void Widget::touch() { fsck_set_n(0); }\n"));
-  const GlobalIndex index(files);
-  ASSERT_EQ(index.definitions("touch").size(), 1u);
-  EXPECT_EQ(index.fn(index.definitions("touch")[0]).cls, "Widget");
-  // touch's only definition calls a trigger, so the name is reaching.
-  EXPECT_NE(index.repair_reaching().find("touch"),
-            index.repair_reaching().end());
-}
-
-TEST(SpiderLintGlobal, DisagreeingOverloadsWeakenReachabilityToSilence) {
-  // Two same-named definitions, only one reaching the repair surface: under
-  // the all-definitions rule the *name* must not become repair-reaching —
-  // a cross-TU name collision degrades to a missed finding, never a
-  // spurious one. Agreeing definitions still close.
-  std::vector<SourceFile> files;
-  files.push_back(scan_source(
-      "src/core/a.cpp", "void reset_all() { fsck_set_n(0); }\n"
-                        "void wipe_all() { fsck_set_n(0); }\n"));
-  files.push_back(scan_source(
-      "src/net/b.cpp", "void reset_all() { }\n"
-                       "void wipe_all() { fsck_set_n(1); }\n"));
-  const GlobalIndex index(files);
-  EXPECT_EQ(index.repair_reaching().find("reset_all"),
-            index.repair_reaching().end());
-  EXPECT_NE(index.repair_reaching().find("wipe_all"),
-            index.repair_reaching().end());
-}
-
-TEST(SpiderLintGlobal, ShadowedTriggerNamesAndDeclarationsStayQuiet) {
-  // A variable shadowing a trigger name (no call shape) and a namespace-
-  // scope declaration (no enclosing body) must not count as call sites.
-  std::vector<SourceFile> files;
-  files.push_back(scan_source(
-      "src/core/s.cpp",
-      "void fsck_set_n(int);\n"
-      "void use(int);\n"
-      "void tick() {\n  int truncate_to = 3;\n  use(truncate_to);\n}\n"));
-  GlobalOptions opts;
-  opts.rules = RuleSet::none();
-  opts.rules.l13 = true;
-  const std::vector<Finding> findings = lint_global(files, opts);
-  EXPECT_TRUE(findings.empty());
-}
-
 // --- parallel per-file pass: byte identity at any job count -----------------
 
 TEST(SpiderLint, JobsOutputIsByteIdenticalAcrossCounts) {
-  // The full fixture corpus (flat files and trees, per-file and whole-
-  // program findings) rendered at --jobs 1/2/4/8 must produce identical
-  // bytes — slot-ordered merge plus the canonical stable sort.
+  // The full fixture corpus (flat files and the L5 tree, per-file and
+  // include-graph findings) rendered at --jobs 1/2/4/8 must produce
+  // identical bytes — slot-ordered merge plus the canonical stable sort.
   LintOptions opts;
   std::vector<std::string> errors;
   opts.jobs = 1;
@@ -535,25 +368,24 @@ TEST(SpiderLint, JobsOutputIsByteIdenticalAcrossCounts) {
 
 TEST(SpiderLint, ReportOnlyFiltersReportNotIndex) {
   LintOptions opts;
-  opts.rules = just(&RuleSet::l13);
-  opts.report_only = {"core/bad.cpp"};  // suffix match at a '/' boundary
+  opts.forced_class = kSrc;
+  opts.report_only = {"sim/cycle_a.hpp"};  // suffix match at a '/' boundary
   std::vector<std::string> errors;
-  const LintReport r = lint_paths({fixture("l13_repair")}, opts, errors);
+  const LintReport r = lint_paths({fixture("l5_layering")}, opts, errors);
   EXPECT_TRUE(errors.empty());
-  // All three breaches live in bad.cpp — including the scrub_reset call,
-  // whose trigger status comes from the SPIDER_REPAIR_ONLY annotation in
-  // repairable.hpp. Seeing it here proves the filtered run still indexed
-  // the unreported file.
-  ASSERT_EQ(r.findings.size(), 3u) << render_text(r, /*fix_hints=*/false);
-  EXPECT_EQ(r.findings[1].line, 17u);
-  EXPECT_NE(r.findings[1].message.find("'scrub_reset'"), std::string::npos);
+  // The cycle is reported on cycle_a.hpp but closes through cycle_b.hpp.
+  // Seeing it here proves the filtered run still indexed the unreported
+  // file; the upward include in block/dev.hpp is filtered out.
+  ASSERT_EQ(r.findings.size(), 1u) << render_text(r, /*fix_hints=*/false);
+  EXPECT_NE(r.findings[0].message.find(
+                "sim/cycle_a.hpp -> sim/cycle_b.hpp -> sim/cycle_a.hpp"),
+            std::string::npos);
 
-  LintOptions other;
-  other.rules = just(&RuleSet::l13);
-  other.report_only = {"src/fs/repairable.hpp"};
+  LintOptions other = opts;
+  other.report_only = {"src/sim/cycle_b.hpp"};
   std::vector<std::string> other_errors;
   const LintReport empty =
-      lint_paths({fixture("l13_repair")}, other, other_errors);
+      lint_paths({fixture("l5_layering")}, other, other_errors);
   EXPECT_TRUE(empty.findings.empty())
       << render_text(empty, /*fix_hints=*/false);
 }
@@ -767,87 +599,6 @@ TEST(SpiderLint, BaselineRoundTripsThroughWriteBaseline) {
   const std::vector<BaselineEntry> stale = apply_baseline(r, entries);
   EXPECT_TRUE(r.clean());
   EXPECT_TRUE(stale.empty());
-}
-
-// ---------------------------------------------------------------------------
-// --fix: applied to throwaway copies, the result must re-lint clean and
-// recompile.
-
-std::string fix_copy(const std::string& name) {
-  namespace fs = std::filesystem;
-  const fs::path dir = fs::temp_directory_path() / "spiderlint_fix_test";
-  fs::create_directories(dir);
-  const fs::path dst = dir / name;
-  fs::copy_file(fixture(name), dst, fs::copy_options::overwrite_existing);
-  return dst.string();
-}
-
-int syntax_check(const std::string& extra_flags, const std::string& path) {
-  const std::string cmd = std::string(SPIDER_LINT_CXX) +
-                          " -std=c++20 -fsyntax-only " + extra_flags + " " +
-                          path + " 2>/dev/null";
-  return std::system(cmd.c_str());
-}
-
-TEST(SpiderLint, FixSwapsL1ContainersButNotCustomHashers) {
-  const std::string path = fix_copy("fix_l1.cpp");
-  LintOptions opts;
-  opts.forced_class = kSimCritical;
-  std::vector<std::string> errors;
-  LintReport before = lint_paths({path}, opts, errors);
-  ASSERT_EQ(before.findings.size(), 2u);
-
-  const FixResult fixed = apply_fixes(before, errors);
-  EXPECT_TRUE(errors.empty()) << (errors.empty() ? "" : errors.front());
-  EXPECT_EQ(fixed.fixes_applied, 2u);
-  ASSERT_EQ(fixed.files_changed.size(), 1u);
-
-  const LintReport after = lint_paths({path}, opts, errors);
-  EXPECT_TRUE(after.clean()) << render_text(after, /*fix_hints=*/false);
-
-  std::ifstream in(path);
-  const std::string text((std::istreambuf_iterator<char>(in)),
-                         std::istreambuf_iterator<char>());
-  EXPECT_NE(text.find("std::map<int, double> rows_"), std::string::npos);
-  EXPECT_NE(text.find("std::set<int> keys_"), std::string::npos);
-  EXPECT_NE(text.find("#include <map>"), std::string::npos);
-  EXPECT_NE(text.find("#include <set>"), std::string::npos);
-  // The custom-hasher table and its include survive untouched.
-  EXPECT_NE(text.find("std::unordered_map<int, int, std::hash<int>>"),
-            std::string::npos);
-  EXPECT_NE(text.find("#include <unordered_map>"), std::string::npos);
-
-  EXPECT_EQ(syntax_check("", path), 0) << "fixed file no longer compiles";
-}
-
-TEST(SpiderLint, FixRenamesL3DoublesToUnitAliases) {
-  const std::string path = fix_copy("fix_l3.hpp");
-  LintOptions opts;
-  opts.forced_class = kSrcHeader;
-  std::vector<std::string> errors;
-  LintReport before = lint_paths({path}, opts, errors);
-  ASSERT_EQ(before.findings.size(), 4u);
-
-  const FixResult fixed = apply_fixes(before, errors);
-  EXPECT_TRUE(errors.empty()) << (errors.empty() ? "" : errors.front());
-  EXPECT_EQ(fixed.fixes_applied, 4u);
-
-  const LintReport after = lint_paths({path}, opts, errors);
-  EXPECT_TRUE(after.clean()) << render_text(after, /*fix_hints=*/false);
-
-  std::ifstream in(path);
-  const std::string text((std::istreambuf_iterator<char>(in)),
-                         std::istreambuf_iterator<char>());
-  EXPECT_NE(text.find("spider::ByteVolume transfer_bytes"), std::string::npos);
-  EXPECT_NE(text.find("spider::Seconds elapsed_seconds"), std::string::npos);
-  EXPECT_NE(text.find("spider::Bandwidth peak_bw"), std::string::npos);
-  EXPECT_NE(text.find("spider::Seconds latency_p99"), std::string::npos);
-  EXPECT_NE(text.find("#include \"common/units.hpp\""), std::string::npos);
-
-  EXPECT_EQ(syntax_check(std::string("-x c++ -I ") + SPIDER_LINT_SRC_DIR,
-                         path),
-            0)
-      << "fixed header no longer compiles";
 }
 
 }  // namespace
