@@ -1,27 +1,44 @@
 #include "fs/changelog.hpp"
 
-#include <stdexcept>
+#include <array>
 
 #include "common/hash.hpp"
 
 namespace spider::fs {
 
-ChangelogAccounting::ChangelogAccounting(std::uint32_t shards)
-    : tables_(shards == 0 ? 1 : shards) {}
+namespace {
 
-ConsumeResult ChangelogAccounting::consume(const OpLog& log) {
-  return cursor_.consume(log, [this](const OpRecord& rec) { apply(rec); });
-}
+/// Row lookups for one consume() batch, through a small direct-mapped
+/// cache. Records name projects in no order, so a std::map descent per
+/// record mispredicts its branches; bench_changelog's incremental epochs
+/// ran at ~0.6x without the cache. Map nodes never move, so the cached
+/// pointers stay valid for the batch.
+class RowCache {
+ public:
+  explicit RowCache(std::map<std::uint32_t, ProjectUsage>& table)
+      : table_(table) {}
 
-void ChangelogAccounting::apply(const OpRecord& rec) {
-  ++records_applied_;
-  const std::uint32_t n = shards();
-  auto row = [this, n](std::uint32_t project) -> ProjectUsage& {
-    return tables_[project % n][project];
+  ProjectUsage& operator[](std::uint32_t project) {
+    Slot& slot = slots_[project % slots_.size()];
+    if (slot.row == nullptr || slot.project != project) {
+      slot = Slot{project, &table_[project]};
+    }
+    return *slot.row;
+  }
+
+ private:
+  struct Slot {
+    std::uint32_t project = 0;
+    ProjectUsage* row = nullptr;
   };
+  std::map<std::uint32_t, ProjectUsage>& table_;
+  std::array<Slot, 8> slots_{};
+};
+
+void apply(const OpRecord& rec, RowCache& rows) {
   switch (rec.kind) {
     case OpKind::kCreate: {
-      ProjectUsage& u = row(rec.project);
+      ProjectUsage& u = rows[rec.project];
       u.bytes += rec.size;
       ++u.files;
       ++u.creates;
@@ -29,7 +46,7 @@ void ChangelogAccounting::apply(const OpRecord& rec) {
       break;
     }
     case OpKind::kUnlink: {
-      ProjectUsage& u = row(rec.project);
+      ProjectUsage& u = rows[rec.project];
       u.bytes -= rec.size;
       --u.files;
       ++u.unlinks;
@@ -37,31 +54,39 @@ void ChangelogAccounting::apply(const OpRecord& rec) {
       break;
     }
     case OpKind::kSetattr: {
-      ProjectUsage& u = row(rec.project);
+      ProjectUsage& u = rows[rec.project];
       if (rec.at > u.last_activity) u.last_activity = rec.at;
       break;
     }
     case OpKind::kResize: {
-      ProjectUsage& u = row(rec.project);
+      ProjectUsage& u = rows[rec.project];
       u.bytes += rec.size;
       u.bytes -= rec.prev_size;
       if (rec.at > u.last_activity) u.last_activity = rec.at;
       break;
     }
     case OpKind::kSetProject: {
-      // The record spans two shards; each applies exactly its half, so the
-      // merged table is invariant under the shard count.
-      ProjectUsage& from = row(rec.prev_project);
+      ProjectUsage& from = rows[rec.prev_project];
       from.bytes -= rec.size;
       --from.files;
       if (rec.at > from.last_activity) from.last_activity = rec.at;
-      ProjectUsage& to = row(rec.project);
+      ProjectUsage& to = rows[rec.project];
       to.bytes += rec.size;
       ++to.files;
       if (rec.at > to.last_activity) to.last_activity = rec.at;
       break;
     }
   }
+}
+
+}  // namespace
+
+ConsumeResult ChangelogAccounting::consume(const OpLog& log) {
+  RowCache rows(table_);
+  return cursor_.consume(log, [this, &rows](const OpRecord& rec) {
+    ++records_applied_;
+    apply(rec, rows);
+  });
 }
 
 Bytes ChangelogAccounting::bytes_of(std::uint32_t project) const {
@@ -75,35 +100,24 @@ std::uint64_t ChangelogAccounting::files_of(std::uint32_t project) const {
 }
 
 const ProjectUsage* ChangelogAccounting::find(std::uint32_t project) const {
-  const auto& table = tables_[project % shards()];
-  const auto it = table.find(project);
-  return it == table.end() ? nullptr : &it->second;
+  const auto it = table_.find(project);
+  return it == table_.end() ? nullptr : &it->second;
 }
 
 std::map<std::uint32_t, Bytes> ChangelogAccounting::usage() const {
-  std::map<std::uint32_t, Bytes> merged;
-  for (const auto& table : tables_) {
-    for (const auto& [project, u] : table) {
-      // Projects whose every file is gone still have a row (creates ==
-      // unlinks history is worth keeping); report them only while live
-      // bytes remain, matching usage_by_project's live-walk shape.
-      if (u.bytes != 0 || u.files != 0) merged[project] = u.bytes;
-    }
+  std::map<std::uint32_t, Bytes> live;
+  for (const auto& [project, u] : table_) {
+    // Projects whose every file is gone still have a row (creates ==
+    // unlinks history is worth keeping); report them only while live
+    // bytes remain, matching usage_by_project's live-walk shape.
+    if (u.bytes != 0 || u.files != 0) live[project] = u.bytes;
   }
-  return merged;
-}
-
-std::map<std::uint32_t, ProjectUsage> ChangelogAccounting::rows() const {
-  std::map<std::uint32_t, ProjectUsage> merged;
-  for (const auto& table : tables_) {
-    for (const auto& [project, u] : table) merged[project] = u;
-  }
-  return merged;
+  return live;
 }
 
 std::uint64_t ChangelogAccounting::table_hash() const {
   std::uint64_t h = kFnvOffsetBasis;
-  for (const auto& [project, u] : rows()) {
+  for (const auto& [project, u] : table_) {
     h = fnv1a(h, project);
     h = fnv1a(h, u.bytes);
     h = fnv1a(h, u.files);
@@ -115,7 +129,7 @@ std::uint64_t ChangelogAccounting::table_hash() const {
 }
 
 ConsumeResult ChangelogAccounting::rebuild(const OpLog& log) {
-  for (auto& table : tables_) table.clear();
+  table_.clear();
   records_applied_ = 0;
   cursor_.reset();
   return consume(log);
@@ -123,11 +137,10 @@ ConsumeResult ChangelogAccounting::rebuild(const OpLog& log) {
 
 void ChangelogAccounting::rebuild_from_namespace(const FsNamespace& ns,
                                                  const OpLog& log) {
-  for (auto& table : tables_) table.clear();
+  table_.clear();
   records_applied_ = 0;
-  const std::uint32_t n = shards();
-  ns.for_each_file([this, n](const FileRecord& rec) {
-    ProjectUsage& u = tables_[rec.project % n][rec.project];
+  ns.for_each_file([this](const FileRecord& rec) {
+    ProjectUsage& u = table_[rec.project];
     u.bytes += rec.size;
     ++u.files;
     const auto at = static_cast<std::int64_t>(rec.mtime);

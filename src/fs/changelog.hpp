@@ -4,8 +4,8 @@
 // around 1e9 entries, so policy engines must consume the MDS changelog
 // instead. fs/journal.hpp is the log; this file is the consumer side — a
 // crash-consistent cursor (only the committed prefix is ever consumed, so
-// consumer state is always a function of durable records) and sharded
-// per-project accounting tables that LustreDU-style reporting and the
+// consumer state is always a function of durable records) and a
+// per-project accounting table that LustreDU-style reporting and the
 // incremental purge engine query in O(1), with O(Δ records) maintenance
 // per epoch instead of O(N files) per sweep. docs/metadata-changelog.md
 // has the full contract.
@@ -37,7 +37,7 @@ struct ConsumeResult {
   std::uint64_t first_gap_txid = 0;
 };
 
-/// One project's row in the accounting tables.
+/// One project's row in the accounting table.
 struct ProjectUsage {
   Bytes bytes = 0;           ///< live bytes owned by the project
   std::uint64_t files = 0;   ///< live file count
@@ -51,7 +51,7 @@ struct ProjectUsage {
 /// Crash-consistent changelog cursor. Walks the committed records past the
 /// consumer's position in txid order (binary-searched start, so a batch
 /// costs O(log n + Δ), not O(n)) and hands each to `fn`. Shared by the
-/// accounting tables below, the purge engine, and tools::LustreDu.
+/// accounting table below, the purge engine, and tools::LustreDu.
 class ChangelogCursor {
  public:
   std::uint64_t position() const { return cursor_; }
@@ -109,37 +109,31 @@ class ChangelogCursor {
   std::uint64_t cursor_ = 0;
 };
 
-/// Sharded per-project accounting derived purely from changelog records.
-///
-/// Projects are partitioned `project % shards`; a kSetProject record spans
-/// two shards and each applies only its half, so the merged table is
-/// byte-identical at any shard fan-out (the determinism property
-/// tests/property_test.cpp pins). One instance accounts one namespace; a
-/// multi-namespace consumer (tools::LustreDu) holds one per namespace and
-/// merges.
+/// Per-project accounting derived purely from changelog records, in one
+/// table applied on the calling thread. One instance accounts one
+/// namespace; a multi-namespace consumer (tools::LustreDu) holds one per
+/// namespace and merges.
 class ChangelogAccounting {
  public:
-  explicit ChangelogAccounting(std::uint32_t shards = 1);
-
   /// Apply all newly committed records. On cursor_ahead nothing changes —
   /// call rebuild(). On gap the present records were applied and the
-  /// tables are suspect; rebuild() or escalate to spiderfsck.
+  /// table is suspect; rebuild() or escalate to spiderfsck.
   ConsumeResult consume(const OpLog& log);
 
-  /// O(1) queries against the tables (no namespace walk, ever).
+  /// O(1) queries against the table (no namespace walk, ever).
   Bytes bytes_of(std::uint32_t project) const;
   std::uint64_t files_of(std::uint32_t project) const;
   const ProjectUsage* find(std::uint32_t project) const;
 
-  /// Merged per-project live bytes, ascending project order (the same
-  /// canonical shape FsNamespace::usage_by_project returns, so oracles
-  /// compare directly).
+  /// Per-project live bytes, ascending project order (the same canonical
+  /// shape FsNamespace::usage_by_project returns, so oracles compare
+  /// directly).
   std::map<std::uint32_t, Bytes> usage() const;
-  /// Merged full rows, ascending project order.
-  std::map<std::uint32_t, ProjectUsage> rows() const;
+  /// Full rows, ascending project order.
+  const std::map<std::uint32_t, ProjectUsage>& rows() const { return table_; }
 
-  /// FNV-1a over the merged rows in canonical order: shard-count-invariant
-  /// fingerprint for determinism checks.
+  /// FNV-1a over the rows in canonical order: a fingerprint for
+  /// determinism checks.
   std::uint64_t table_hash() const;
 
   /// Forget everything and re-consume the whole committed prefix — the
@@ -152,16 +146,12 @@ class ChangelogAccounting {
   /// reflects exactly the committed prefix. Counts a full walk.
   void rebuild_from_namespace(const FsNamespace& ns, const OpLog& log);
 
-  std::uint32_t shards() const { return static_cast<std::uint32_t>(tables_.size()); }
   std::uint64_t cursor() const { return cursor_.position(); }
   std::uint64_t records_applied() const { return records_applied_; }
 
  private:
-  void apply(const OpRecord& rec);
-
   ChangelogCursor cursor_;
-  /// tables_[project % shards] owns the row for `project`.
-  std::vector<std::map<std::uint32_t, ProjectUsage>> tables_;
+  std::map<std::uint32_t, ProjectUsage> table_;
   std::uint64_t records_applied_ = 0;
 };
 

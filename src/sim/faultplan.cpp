@@ -5,6 +5,8 @@
 #include <sstream>
 #include <stdexcept>
 
+#include "common/parse.hpp"
+
 namespace spider::sim {
 
 namespace {
@@ -48,22 +50,25 @@ std::string strip(const std::string& s) {
 }
 
 double parse_double(const std::string& value, std::size_t line_no) {
-  std::size_t used = 0;
   double d = 0.0;
-  try {
-    d = std::stod(value, &used);
-  } catch (const std::exception&) {
-    parse_error(line_no, "expected a number, got '" + value + "'");
+  if (!parse_finite(value, d)) {
+    parse_error(line_no, "expected a finite number, got '" + value + "'");
   }
-  if (used != value.size()) {
-    parse_error(line_no, "trailing junk after number in '" + value + "'");
+  return d;
+}
+
+/// A seconds value from_seconds() can convert (see seconds_in_range).
+double parse_seconds(const std::string& value, std::size_t line_no) {
+  const double d = parse_double(value, line_no);
+  if (!seconds_in_range(d)) {
+    parse_error(line_no, "seconds value '" + value + "' is out of range");
   }
   return d;
 }
 
 std::uint64_t parse_u64(const std::string& value, std::size_t line_no) {
   const double d = parse_double(value, line_no);
-  if (d < 0.0 || d != std::floor(d)) {
+  if (d < 0.0 || d != std::floor(d) || d >= 0x1p64) {
     parse_error(line_no, "expected a non-negative integer, got '" + value + "'");
   }
   return static_cast<std::uint64_t>(d);
@@ -139,7 +144,7 @@ FaultPlan parse_fault_plan(const std::string& text) {
         } else if (key == "seed") {
           plan.seed = parse_u64(value, line_no);
         } else if (key == "horizon_s") {
-          plan.horizon_s = parse_double(value, line_no);
+          plan.horizon_s = parse_seconds(value, line_no);
         } else {
           parse_error(line_no, "unknown plan key '" + key + "'");
         }
@@ -150,11 +155,11 @@ FaultPlan parse_fault_plan(const std::string& text) {
       } else if (key == "trigger") {
         current->trigger = trigger_kind_from_string(value);
       } else if (key == "at_s") {
-        current->at = from_seconds(parse_double(value, line_no));
+        current->at = from_seconds(parse_seconds(value, line_no));
       } else if (key == "duration_s") {
-        current->duration = from_seconds(parse_double(value, line_no));
+        current->duration = from_seconds(parse_seconds(value, line_no));
       } else if (key == "poll_s") {
-        current->poll = from_seconds(parse_double(value, line_no));
+        current->poll = from_seconds(parse_seconds(value, line_no));
       } else if (key == "group") {
         current->group = static_cast<std::uint32_t>(parse_u64(value, line_no));
       } else if (key == "member") {

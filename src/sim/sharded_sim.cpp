@@ -25,7 +25,6 @@ ShardMap::ShardMap(std::size_t domains, std::size_t shards) : shards_(shards) {
   if (domains == 0) throw std::invalid_argument("ShardMap: domains must be >= 1");
   if (shards == 0) throw std::invalid_argument("ShardMap: shards must be >= 1");
   assign_.resize(domains);
-  names_.resize(domains);
   for (std::size_t d = 0; d < domains; ++d) {
     assign_[d] = static_cast<ShardId>(d % shards);
   }
@@ -46,27 +45,6 @@ void ShardMap::reassign(std::size_t domain, ShardId shard) {
     throw std::out_of_range("ShardMap::reassign: shard out of range");
   }
   assign_[domain] = shard;
-}
-
-void ShardMap::label(std::size_t domain, std::string name) {
-  if (domain >= names_.size()) {
-    throw std::out_of_range("ShardMap::label: unknown domain");
-  }
-  names_[domain] = std::move(name);
-}
-
-const std::string& ShardMap::name_of(std::size_t domain) const {
-  if (domain >= names_.size()) {
-    throw std::out_of_range("ShardMap::name_of: unknown domain");
-  }
-  return names_[domain];
-}
-
-std::size_t ShardMap::find(std::string_view name) const {
-  for (std::size_t d = 0; d < names_.size(); ++d) {
-    if (names_[d] == name) return d;
-  }
-  return npos;
 }
 
 // --- ShardedSimulator -------------------------------------------------------

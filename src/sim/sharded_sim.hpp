@@ -43,8 +43,6 @@
 #include <limits>
 #include <memory>
 #include <source_location>
-#include <string>
-#include <string_view>
 #include <vector>
 
 #include "common/annotations.hpp"
@@ -56,12 +54,11 @@ namespace spider::sim {
 
 using ShardId = std::uint32_t;
 
-/// Assignment of named simulation domains (an Ssu, an FsNamespace, a
-/// FlowNetwork zone) to shards. Domains are dense indices so scenarios can
-/// address them in O(1); names are optional labels for diagnostics and
-/// name-based lookup. Reassigning domains changes which shard's queue their
-/// events land in — and therefore the merged replay stream — while the
-/// *shard count* of the engine does not (see the header comment).
+/// Assignment of simulation domains (an Ssu, an FsNamespace, a FlowNetwork
+/// zone) to shards. Domains are dense indices so scenarios can address them
+/// in O(1). Reassigning domains changes which shard's queue their events
+/// land in — and therefore the merged replay stream — while the *shard
+/// count* of the engine does not (see the header comment).
 class ShardMap {
  public:
   /// `domains` domains spread round-robin over `shards` shards
@@ -74,16 +71,8 @@ class ShardMap {
   ShardId shard_of(std::size_t domain) const;
   void reassign(std::size_t domain, ShardId shard);
 
-  /// Optional diagnostic label ("ssu-17", "namespace-atlas2", "fgr-zone-3").
-  void label(std::size_t domain, std::string name);
-  const std::string& name_of(std::size_t domain) const;
-  /// Domain index for a label, or npos when unknown.
-  static constexpr std::size_t npos = static_cast<std::size_t>(-1);
-  std::size_t find(std::string_view name) const;
-
  private:
   std::vector<ShardId> assign_;
-  std::vector<std::string> names_;
   std::size_t shards_ = 1;
 };
 

@@ -19,7 +19,15 @@ inline constexpr SimTime kMinute = 60 * kSecond;
 inline constexpr SimTime kHour = 60 * kMinute;
 inline constexpr SimTime kDay = 24 * kHour;
 
-/// Convert (possibly fractional) seconds to SimTime.
+/// True when from_seconds(s) is defined: s * kSecond fits SimTime, which
+/// bounds |s| near 9.22e9 s (~292 years). False for inf and nan.
+inline constexpr bool seconds_in_range(double s) {
+  const double ns = s * static_cast<double>(kSecond);
+  return ns > -0x1p63 && ns < 0x1p63;
+}
+
+/// Convert (possibly fractional) seconds to SimTime. Callers taking seconds
+/// from input check seconds_in_range() first.
 inline constexpr SimTime from_seconds(double s) {
   return static_cast<SimTime>(s * static_cast<double>(kSecond));
 }

@@ -1,3 +1,14 @@
+// Fault-campaign engine (campaign.hpp). Each campaign owns one serial
+// sim::Simulator; spiderfault --jobs runs whole campaigns side by side.
+//
+// Editing note: a replay site is a file basename plus a line
+// (sim::site_hash) and every verdict's replay_hash folds the sites in. The
+// schedule calls in start_rebuild(), every() and prepare() therefore sit
+// on fixed lines of this file: moving one changes every replay_hash even
+// when behaviour is unchanged. Keep edits above them line-neutral, or
+// re-pin the replay hashes on purpose; stream_hash, the golden pin, has no
+// sites and does not move.
+
 #include "tools/faultcli/campaign.hpp"
 
 #include <algorithm>
@@ -324,20 +335,9 @@ std::string verdict_json(const RunVerdict& verdict) {
 
 FaultCampaign::FaultCampaign(const sim::FaultPlan& plan, std::uint64_t seed,
                              const CampaignConfig& cfg)
-    : FaultCampaign(plan, seed, cfg, nullptr) {}
-
-FaultCampaign::FaultCampaign(const sim::FaultPlan& plan, std::uint64_t seed,
-                             const CampaignConfig& cfg, sim::Simulator& sim)
-    : FaultCampaign(plan, seed, cfg, &sim) {}
-
-FaultCampaign::FaultCampaign(const sim::FaultPlan& plan, std::uint64_t seed,
-                             const CampaignConfig& cfg,
-                             sim::Simulator* external)
     : plan_(plan),
       seed_(seed),
       cfg_(cfg),
-      owned_sim_(external ? nullptr : std::make_unique<sim::Simulator>()),
-      sim_(external ? *external : *owned_sim_),
       rng_(seed),
       ssu_(make_ssu_params(cfg), 0, rng_),
       net_(sim_),
@@ -599,18 +599,12 @@ FsckTarget FaultCampaign::fsck_target() {
   return target;
 }
 
-FaultCampaign::FsckOutcome FaultCampaign::fsck_and_reverify(
-    const FsckOptions& options) {
+FaultCampaign::FsckOutcome FaultCampaign::fsck_and_reverify() {
   FsckOutcome out;
-  FsckOptions repair_opts = options;
-  repair_opts.repair = true;
   const FsckTarget target = fsck_target();
-  out.report = run_fsck(target, repair_opts);
-
-  FsckOptions recheck;
-  recheck.jobs = 1;
-  recheck.shards = repair_opts.shards;
-  out.converged = run_fsck(target, recheck).clean();
+  out.report = run_fsck(target, FsckOptions{.repair = true});
+  // Repairs converge in one pass, so a dry re-check must come back clean.
+  out.converged = run_fsck(target).clean();
 
   // The namespace-journal oracle watches the campaign's counters; rebuild
   // them from the repaired op log so the re-sweep judges repaired state.
@@ -622,6 +616,12 @@ FaultCampaign::FsckOutcome FaultCampaign::fsck_and_reverify(
   return out;
 }
 
+RunVerdict FaultCampaign::run() {
+  prepare();
+  sim_.run(horizon_);
+  return finish();
+}
+
 void FaultCampaign::prepare() {
   injector_.arm(plan_);
   suite_.schedule_checks(cfg_.oracle_interval, horizon_);
@@ -629,18 +629,6 @@ void FaultCampaign::prepare() {
   every(cfg_.read_interval, [this] { do_read(); });
   every(cfg_.purge_interval, [this] { do_purge(); });
   every(cfg_.oracle_interval, [this] { rebuilds_.sample(sim_.now()); });
-}
-
-RunVerdict FaultCampaign::run() {
-  prepare();
-  sim_.run(horizon_);
-  return finish();
-}
-
-RunVerdict FaultCampaign::run_with(sim::ShardedSimulator& engine) {
-  prepare();
-  engine.run(horizon_);
-  return finish();
 }
 
 RunVerdict FaultCampaign::finish() {
@@ -692,45 +680,11 @@ void fill_repair(RunVerdict& verdict, const FaultCampaign::FsckOutcome& out) {
 }  // namespace
 
 RunVerdict run_campaign_checked(const sim::FaultPlan& plan, std::uint64_t seed,
-                                const CampaignConfig& cfg,
-                                const FsckOptions& fsck) {
+                                const CampaignConfig& cfg) {
   FaultCampaign campaign(plan, seed, cfg);
   RunVerdict verdict = campaign.run();
-  fill_repair(verdict, campaign.fsck_and_reverify(fsck));
+  fill_repair(verdict, campaign.fsck_and_reverify());
   return verdict;
-}
-
-RunVerdict run_campaign_sharded_checked(const sim::FaultPlan& plan,
-                                        std::uint64_t seed,
-                                        const CampaignConfig& cfg,
-                                        std::size_t shards,
-                                        std::size_t workers,
-                                        const FsckOptions& fsck) {
-  constexpr sim::SimTime kCampaignLookahead = 1 * sim::kSecond;
-  sim::ShardedConfig scfg;
-  scfg.lookahead = kCampaignLookahead;
-  scfg.workers = workers;
-  sim::ShardedSimulator engine(shards, scfg);
-  FaultCampaign campaign(plan, seed, cfg, engine.shard(0));
-  RunVerdict verdict = campaign.run_with(engine);
-  fill_repair(verdict, campaign.fsck_and_reverify(fsck));
-  return verdict;
-}
-
-RunVerdict run_campaign_sharded(const sim::FaultPlan& plan, std::uint64_t seed,
-                                const CampaignConfig& cfg, std::size_t shards,
-                                std::size_t workers) {
-  // Campaign cadence is seconds-scale (create/read/oracle intervals), so a
-  // one-second lookahead keeps the barrier count proportional to event
-  // clusters rather than the horizon. The campaign sends no cross-shard
-  // messages, so any positive lookahead is causally safe here.
-  constexpr sim::SimTime kCampaignLookahead = 1 * sim::kSecond;
-  sim::ShardedConfig scfg;
-  scfg.lookahead = kCampaignLookahead;
-  scfg.workers = workers;
-  sim::ShardedSimulator engine(shards, scfg);
-  FaultCampaign campaign(plan, seed, cfg, engine.shard(0));
-  return campaign.run_with(engine);
 }
 
 }  // namespace spider::tools

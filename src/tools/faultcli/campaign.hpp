@@ -39,7 +39,6 @@
 #include "sim/flow_network.hpp"
 #include "sim/oracle.hpp"
 #include "sim/replay.hpp"
-#include "sim/sharded_sim.hpp"
 #include "sim/simulator.hpp"
 #include "sim/time.hpp"
 #include "tools/spiderfsck/fsck.hpp"
@@ -181,23 +180,10 @@ class FaultCampaign {
  public:
   FaultCampaign(const sim::FaultPlan& plan, std::uint64_t seed,
                 const CampaignConfig& cfg = {});
-  /// Host the campaign on an externally owned engine — typically one shard
-  /// of a ShardedSimulator (pass engine.shard(k)). The campaign schedules
-  /// everything on `sim`; drive it with run_with(). `sim` must outlive the
-  /// campaign and start at time 0 with an empty queue.
-  FaultCampaign(const sim::FaultPlan& plan, std::uint64_t seed,
-                const CampaignConfig& cfg, sim::Simulator& sim);
 
   /// Arm the plan, drive workload + oracle sweeps to the horizon, and
   /// return the verdict. Call once per instance.
   RunVerdict run();
-
-  /// Like run(), but the epochs of `engine` drive the clock — for campaigns
-  /// hosted on a shard (see the external-engine constructor). The verdict,
-  /// hashes included, is byte-identical to run()'s at any shard or worker
-  /// count: all campaign events live on one shard, and chopping the run
-  /// into epochs pops the same (when, id) sequence the serial run does.
-  RunVerdict run_with(sim::ShardedSimulator& engine);
 
   sim::Simulator& simulator() { return sim_; }
   sim::OracleSuite& oracles() { return suite_; }
@@ -221,18 +207,16 @@ class FaultCampaign {
   /// Post-run fsck stage: repair the namespace/journal/OSTs, re-check that
   /// the repair converged, refresh the campaign's journal counters from the
   /// op-log replay, and re-run every oracle against the repaired state.
-  /// Call after run()/run_with() — it checks state, not the event stream.
+  /// Call after run() — it checks state, not the event stream.
   struct FsckOutcome {
     FsckReport report;      ///< primary (repairing) pass
-    bool converged = false; ///< serial re-check found nothing
+    bool converged = false; ///< dry re-check found nothing
     std::vector<sim::OracleViolation> post_violations;
     bool post_clean() const { return converged && post_violations.empty(); }
   };
-  FsckOutcome fsck_and_reverify(const FsckOptions& options = {});
+  FsckOutcome fsck_and_reverify();
 
  private:
-  FaultCampaign(const sim::FaultPlan& plan, std::uint64_t seed,
-                const CampaignConfig& cfg, sim::Simulator* external);
   /// Arm the plan and schedule the workload drivers + oracle sweeps.
   void prepare();
   /// Collect telemetry into the verdict once the horizon is reached.
@@ -253,11 +237,7 @@ class FaultCampaign {
   sim::FaultPlan plan_;
   std::uint64_t seed_;
   CampaignConfig cfg_;
-  /// Engine storage when self-hosted; empty when an external simulator (a
-  /// ShardedSimulator shard) hosts the campaign. Declared before sim_ so
-  /// the reference can bind to it during construction.
-  std::unique_ptr<sim::Simulator> owned_sim_;
-  sim::Simulator& sim_;
+  sim::Simulator sim_;
   Rng rng_;
   block::Ssu ssu_;
   std::vector<fs::Ost> osts_;
@@ -284,28 +264,10 @@ class FaultCampaign {
 RunVerdict run_campaign(const sim::FaultPlan& plan, std::uint64_t seed,
                         const CampaignConfig& cfg = {});
 
-/// Run the campaign hosted on shard 0 of a `shards`-wide ShardedSimulator
-/// with `workers` lanes (0 = auto, 1 = serial). The verdict is
-/// byte-identical to run_campaign's — the determinism bar spiderfault
-/// --shards=N meets, pinned by the golden traces at 1/2/4/8 shards.
-RunVerdict run_campaign_sharded(const sim::FaultPlan& plan, std::uint64_t seed,
-                                const CampaignConfig& cfg = {},
-                                std::size_t shards = 1,
-                                std::size_t workers = 0);
-
 /// run_campaign plus the fsck stage: after the horizon, repair the cluster
 /// state, re-run every oracle, and fold the outcome into verdict.repair.
 /// The event-stream hashes are untouched — fsck runs outside the simulation.
 RunVerdict run_campaign_checked(const sim::FaultPlan& plan, std::uint64_t seed,
-                                const CampaignConfig& cfg = {},
-                                const FsckOptions& fsck = {});
-
-/// Sharded variant of run_campaign_checked (spiderfault --shards + --fsck).
-RunVerdict run_campaign_sharded_checked(const sim::FaultPlan& plan,
-                                        std::uint64_t seed,
-                                        const CampaignConfig& cfg = {},
-                                        std::size_t shards = 1,
-                                        std::size_t workers = 0,
-                                        const FsckOptions& fsck = {});
+                                const CampaignConfig& cfg = {});
 
 }  // namespace spider::tools

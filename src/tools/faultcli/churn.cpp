@@ -51,11 +51,10 @@ ChurnVerdict run_churn(const ChurnRunConfig& cfg) {
   std::vector<std::unique_ptr<fs::ChangelogAccounting>> audit;
   std::vector<std::unique_ptr<sim::Oracle>> oracles;
   for (std::size_t i = 0; i < n; ++i) {
-    du.follow(scenario.log(i), cfg.accounting_shards);
+    du.follow(scenario.log(i));
     purgers.push_back(std::make_unique<fs::PurgeEngine>(
         scenario.ns(i), scenario.log(i), rules));
-    audit.push_back(
-        std::make_unique<fs::ChangelogAccounting>(cfg.accounting_shards));
+    audit.push_back(std::make_unique<fs::ChangelogAccounting>());
     oracles.push_back(
         make_changelog_oracle(scenario.ns(i), scenario.log(i), *audit.back()));
   }

@@ -2,9 +2,12 @@
 //
 // Drives core::ChurnScenario (DNE namespaces under create/unlink/touch/
 // resize/setproject churn, cohort-scaled past 1e9 logical files) on the
-// sharded engine, with the full consumer stack attached:
+// sharded engine — spiderfault --churn --shards=N sets its width, and
+// namespaces really spread over the shards — with the full consumer stack
+// attached, polled at each epoch barrier on the calling thread:
 //
-//   - tools::LustreDu following every namespace's changelog,
+//   - tools::LustreDu following every namespace's changelog, one
+//     accounting table per namespace,
 //   - one fs::PurgeEngine per namespace sweeping on an epoch cadence,
 //   - the changelog-consistency oracle (campaign.hpp) auditing
 //     changelog-derived accounting against namespace ground truth at
@@ -39,8 +42,6 @@ struct ChurnRunConfig {
   std::size_t workers = 0;
   /// Barriers at which consumers poll, queries run, and oracles audit.
   std::size_t epochs = 8;
-  /// ChangelogAccounting shard fan-out inside each consumer.
-  std::uint32_t accounting_shards = 4;
   /// Purge policy window; sweeps fire every `purge_every` epochs (0 = off).
   /// The default (~86ms of sim time) is tuned to the default think/ops
   /// shape so sweeps actually purge: idle files age out within a run.

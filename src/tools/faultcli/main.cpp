@@ -4,15 +4,13 @@
 //   --seeds=N             run each plan under N consecutive seeds (default 1)
 //   --base-seed=S         first seed (default: the plan's own seed)
 //   --mutations=M         additionally run M seeded plan mutations per seed
-//   --horizon-s=X         override every plan's horizon
+//   --horizon-s=X         override every plan's horizon (finite, > 0, and
+//                         within SimTime's range of ~9.22e9 s)
 //   --jobs=N              run up to N campaigns concurrently (default 1)
-//   --shards=N            host each campaign on an N-shard epoch engine
-//                         (default 0 = the serial Simulator)
 //   --expect-violations   invert the verdict: exit 0 iff violations were found
 //   --fsck                after each run: spiderfsck repair + re-run oracles
 //                         (verdict JSON grows a "repair" section; a run whose
 //                         repaired state re-checks dirty always fails)
-//   --fsck-jobs=N         phase-1 scan lanes for the fsck stage (default 1)
 //
 // Churn mode (no plan files; the billion-entry changelog harness):
 //   --churn                    run the metadata churn scenario instead of
@@ -27,7 +25,9 @@
 //   --churn-crash              inject a log-rewind crash mid-run; the run
 //                              fails unless consumers detect and resync
 //   --churn-min-logical=N      fail the verdict below N logical files
-//   (--shards and --base-seed apply to churn mode too)
+//   --shards=N                 sharded-engine fan-out hosting the churn
+//                              namespaces (default 4; churn mode only)
+//   (--base-seed applies to churn mode too)
 //
 // One JSON verdict line per run: plan name, seed, replay hash, stream hash,
 // telemetry, and the oracle violations (see docs/fault-injection.md for how
@@ -37,13 +37,6 @@
 // up front in (plan, seed, mutation) order, runs execute concurrently on the
 // shared thread pool, and verdict lines are buffered and printed in
 // enumeration order — so stdout is byte-identical to --jobs=1.
-//
-// --shards=N holds the same bar one layer down: the campaign runs on a
-// ShardedSimulator (sim/sharded_sim.hpp, docs/parallel-engine.md) and its
-// verdict — replay and stream hashes included — is byte-identical to the
-// serial engine's at any shard count. When --jobs also fans out, each
-// sharded campaign runs its epochs serially on its worker (nested
-// parallelism runs inline), so the two flags compose without oversubscribing.
 //
 // Exit codes: 0 campaign outcome matched expectation, 1 it did not,
 // 2 usage / plan-parse / I/O error.
@@ -55,6 +48,7 @@
 #include <vector>
 
 #include "common/parallel.hpp"
+#include "common/parse.hpp"
 #include "sim/faultplan.hpp"
 #include "tools/faultcli/campaign.hpp"
 #include "tools/faultcli/churn.hpp"
@@ -64,9 +58,8 @@ namespace {
 int usage(const char* argv0) {
   std::fprintf(stderr,
                "usage: %s [--seeds=N] [--base-seed=S] [--mutations=M]\n"
-               "       [--horizon-s=X] [--jobs=N] [--shards=N]\n"
-               "       [--expect-violations] [--fsck] [--fsck-jobs=N]\n"
-               "       <plan.fplan>...\n"
+               "       [--horizon-s=X] [--jobs=N] [--expect-violations]\n"
+               "       [--fsck] <plan.fplan>...\n"
                "   or: %s --churn [--churn-namespaces=N] [--churn-files=N]\n"
                "       [--churn-cohort=N] [--churn-ops=N] [--churn-epochs=N]\n"
                "       [--churn-crash] [--churn-min-logical=N] [--shards=N]\n"
@@ -74,17 +67,6 @@ int usage(const char* argv0) {
                argv0,
                argv0);
   return 2;
-}
-
-bool parse_count(std::string_view text, std::uint64_t& out) {
-  if (text.empty()) return false;
-  std::uint64_t value = 0;
-  for (char c : text) {
-    if (c < '0' || c > '9') return false;
-    value = value * 10 + static_cast<std::uint64_t>(c - '0');
-  }
-  out = value;
-  return true;
 }
 
 }  // namespace
@@ -97,11 +79,10 @@ int main(int argc, char** argv) {
   bool have_base_seed = false;
   std::uint64_t mutations = 0;
   std::uint64_t jobs = 1;
-  std::uint64_t engine_shards = 0;  // 0 = serial Simulator
+  std::uint64_t engine_shards = 0;  // churn mode only
   double horizon_s = 0.0;
   bool expect_violations = false;
   bool fsck = false;
-  std::uint64_t fsck_jobs = 1;
   bool churn = false;
   tools::ChurnRunConfig churn_cfg;
   std::vector<std::string> plan_paths;
@@ -126,12 +107,10 @@ int main(int argc, char** argv) {
         return usage(argv[0]);
       }
     } else if (arg.starts_with("--horizon-s=")) {
-      try {
-        horizon_s = std::stod(std::string(arg.substr(12)));
-      } catch (const std::exception&) {
+      if (!parse_finite(arg.substr(12), horizon_s) || horizon_s <= 0.0 ||
+          !sim::seconds_in_range(horizon_s)) {
         return usage(argv[0]);
       }
-      if (horizon_s <= 0.0) return usage(argv[0]);
     } else if (arg == "--churn") {
       churn = true;
     } else if (arg.starts_with("--churn-namespaces=")) {
@@ -164,8 +143,6 @@ int main(int argc, char** argv) {
       expect_violations = true;
     } else if (arg == "--fsck") {
       fsck = true;
-    } else if (arg.starts_with("--fsck-jobs=")) {
-      if (!parse_count(arg.substr(12), fsck_jobs)) return usage(argv[0]);
     } else if (arg.starts_with("--")) {
       std::fprintf(stderr, "spiderfault: unknown option '%s'\n", argv[i]);
       return usage(argv[0]);
@@ -187,6 +164,12 @@ int main(int argc, char** argv) {
     return verdict.ok ? 0 : 1;
   }
   if (plan_paths.empty()) return usage(argv[0]);
+  if (engine_shards > 0) {
+    std::fprintf(stderr,
+                 "spiderfault: --shards applies to --churn only; campaigns "
+                 "run on the serial engine\n");
+    return usage(argv[0]);
+  }
 
   tools::CampaignConfig cfg;
   cfg.horizon_s = horizon_s;  // 0 = per-plan horizon
@@ -232,30 +215,14 @@ int main(int argc, char** argv) {
   // Campaigns are independent single-threaded simulations, so they fan out
   // across the shared pool. Verdict lines are buffered per job and emitted
   // in enumeration order below, keeping stdout byte-identical to --jobs=1.
-  tools::FsckOptions fsck_opts;
-  fsck_opts.jobs = static_cast<std::size_t>(fsck_jobs);
   std::vector<tools::RunVerdict> verdicts(run_jobs.size());
   parallel_for(
       run_jobs.size(),
       [&](std::size_t i) {
-        if (fsck) {
-          verdicts[i] =
-              engine_shards > 0
-                  ? tools::run_campaign_sharded_checked(
-                        run_jobs[i].plan, run_jobs[i].seed, cfg, engine_shards,
-                        /*workers=*/0, fsck_opts)
-                  : tools::run_campaign_checked(run_jobs[i].plan,
-                                                run_jobs[i].seed, cfg,
-                                                fsck_opts);
-        } else {
-          verdicts[i] =
-              engine_shards > 0
-                  ? tools::run_campaign_sharded(run_jobs[i].plan,
-                                                run_jobs[i].seed, cfg,
-                                                engine_shards)
-                  : tools::run_campaign(run_jobs[i].plan, run_jobs[i].seed,
-                                        cfg);
-        }
+        const Job& job = run_jobs[i];
+        verdicts[i] =
+            fsck ? tools::run_campaign_checked(job.plan, job.seed, cfg)
+                 : tools::run_campaign(job.plan, job.seed, cfg);
       },
       static_cast<std::size_t>(jobs));
 

@@ -42,6 +42,7 @@
 #include <string_view>
 #include <vector>
 
+#include "common/parse.hpp"
 #include "tools/lint/baseline.hpp"
 #include "tools/lint/lint.hpp"
 
@@ -186,16 +187,13 @@ int main(int argc, char** argv) {
       have_forced = true;
     } else if (arg.starts_with("--jobs=")) {
       const std::string_view n = arg.substr(7);
-      std::size_t jobs = 0;
-      for (const char c : n) {
-        if (c < '0' || c > '9') {
-          std::fprintf(stderr, "spiderlint: bad --jobs value '%.*s'\n",
-                       static_cast<int>(n.size()), n.data());
-          return usage(argv[0]);
-        }
-        jobs = jobs * 10 + static_cast<std::size_t>(c - '0');
+      std::uint64_t jobs = 0;
+      if (!spider::parse_count(n, jobs)) {
+        std::fprintf(stderr, "spiderlint: bad --jobs value '%.*s'\n",
+                     static_cast<int>(n.size()), n.data());
+        return usage(argv[0]);
       }
-      opts.jobs = jobs;
+      opts.jobs = static_cast<std::size_t>(jobs);
     } else if (arg.starts_with("--only=")) {
       const std::string_view pat = arg.substr(7);
       if (pat.empty()) {

@@ -31,11 +31,8 @@ void LustreDu::daily_scan(const fs::FsNamespace& ns, sim::SimTime now) {
   scanned_ = true;
 }
 
-void LustreDu::follow(const fs::OpLog& log, std::uint32_t shards) {
-  Feed feed;
-  feed.log = &log;
-  feed.accounting = fs::ChangelogAccounting(shards);
-  feeds_.push_back(std::move(feed));
+void LustreDu::follow(const fs::OpLog& log) {
+  feeds_.push_back(Feed{&log, {}});
 }
 
 fs::ConsumeResult LustreDu::poll() {

@@ -9,8 +9,8 @@
 // The daily scan itself is still an O(N) namespace walk, which stops
 // working around 1e9 entries (the Robinhood lesson, ROADMAP item 2). The
 // changelog era replaces it: follow() attaches the tool to one or more
-// namespace changelogs and poll() folds newly committed records into
-// fs::ChangelogAccounting tables, so answers stay fresh at O(Δ records)
+// namespace changelogs and poll() folds newly committed records into one
+// fs::ChangelogAccounting table per log, so answers stay fresh at O(Δ records)
 // per epoch with zero namespace walks.
 #pragma once
 
@@ -51,9 +51,9 @@ class LustreDu {
   void daily_scan(const fs::FsNamespace& ns, sim::SimTime now);
 
   /// Changelog mode: follow a namespace's op log; answers come from the
-  /// accounting tables as of the last poll() instead of the snapshot. May
+  /// accounting table as of the last poll() instead of the snapshot. May
   /// be called once per DNE namespace — usage() sums across feeds.
-  void follow(const fs::OpLog& log, std::uint32_t shards = 1);
+  void follow(const fs::OpLog& log);
 
   /// Consume newly committed records from every followed log. Diagnostics
   /// are merged: applied sums; cursor_ahead/gap OR across feeds (any feed

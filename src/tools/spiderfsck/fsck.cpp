@@ -10,15 +10,12 @@
 #include <utility>
 
 #include "common/hash.hpp"
-#include "common/parallel.hpp"
 #include "fs/recovery.hpp"
 #include "sim/time.hpp"
 
 namespace spider::tools {
 
 namespace {
-
-constexpr std::size_t kDefaultShards = 8;
 
 std::string to_hex(std::uint64_t v) {
   static constexpr char kDigits[] = "0123456789abcdef";
@@ -41,8 +38,7 @@ void json_escape(std::ostringstream& os, const std::string& s) {
   }
 }
 
-/// Canonical finding order: repair-phase order and output order. Parallel
-/// scans merge into this order, so output is fan-out-invariant.
+/// Canonical finding order: repair-phase order and output order.
 bool finding_less(const Finding& a, const Finding& b) {
   return std::tie(a.kind, a.file, a.ost, a.expect_a, a.detail) <
          std::tie(b.kind, b.file, b.ost, b.expect_a, b.detail);
@@ -57,26 +53,20 @@ Bytes per_stripe_share(const fs::FileRecord& rec) {
   return (rec.size + rec.stripe_count - 1) / rec.stripe_count;
 }
 
-/// One shard's buffered phase-1 results. Nothing is shared during the scan;
-/// the merge step folds shards in index order (canonical-merge discipline).
-struct ShardScan {
+/// Phase-1 accumulators that phase 2 cross-references.
+struct Scan {
   std::vector<Finding> findings;
   std::vector<std::uint64_t> live_ids;  ///< canonical ids of live slots
   std::vector<Bytes> ref_bytes;         ///< expected bytes per OST index
   std::vector<std::uint64_t> ref_objects;
-  std::vector<Bytes> actual_bytes;  ///< observed OST counters (owned OSTs)
-  std::vector<std::uint64_t> actual_objects;
-  std::uint64_t slots = 0;
-  std::uint64_t live = 0;
 };
 
 /// Scan one inode-table slot into `out`. Dead slots are still checked for
 /// zombie ids; only live slots feed the live set and OST accounting.
 void scan_slot(fs::FsNamespace& ns, std::size_t slot,
                const std::map<std::uint32_t, std::size_t>& ost_index,
-               ShardScan& out) {
+               Scan& out) {
   const fs::FileRecord& rec = ns.slot_record(slot);
-  ++out.slots;
   const std::uint32_t gen = fs::generation_of_file_id(rec.id);
   const std::uint64_t canonical = fs::file_id_for_slot(gen, slot);
   if (rec.id != canonical) {
@@ -90,7 +80,6 @@ void scan_slot(fs::FsNamespace& ns, std::size_t slot,
     out.findings.push_back(std::move(f));
   }
   if (!rec.alive) return;
-  ++out.live;
   out.live_ids.push_back(canonical);
   if (rec.stripe_count == 0) return;
 
@@ -165,89 +154,50 @@ FsckReport run_fsck(const FsckTarget& target, const FsckOptions& options) {
     throw std::invalid_argument("run_fsck: target.ns is required");
   }
   fs::FsNamespace& ns = *target.ns;
-  const std::size_t shards =
-      options.shards == 0 ? kDefaultShards : options.shards;
 
   std::map<std::uint32_t, std::size_t> ost_index;
   for (std::size_t i = 0; i < ns.num_osts(); ++i) {
     ost_index.emplace(ns.ost(i).id(), i);
   }
 
-  // --- phase 1: sharded scan, buffered per shard, no shared state --------
-  const std::size_t slot_count = ns.slot_count();
-  std::vector<ShardScan> scans(shards);
-  parallel_for(
-      shards,
-      [&](std::size_t s) {
-        ShardScan& out = scans[s];
-        out.ref_bytes.assign(ns.num_osts(), 0);
-        out.ref_objects.assign(ns.num_osts(), 0);
-        out.actual_bytes.assign(ns.num_osts(), 0);
-        out.actual_objects.assign(ns.num_osts(), 0);
-        if (options.assignment == ShardAssignment::kContiguous) {
-          const std::size_t chunk = (slot_count + shards - 1) / shards;
-          const std::size_t begin = std::min(s * chunk, slot_count);
-          const std::size_t end = std::min(begin + chunk, slot_count);
-          for (std::size_t slot = begin; slot < end; ++slot) {
-            scan_slot(ns, slot, ost_index, out);
-          }
-        } else {
-          for (std::size_t slot = s; slot < slot_count; slot += shards) {
-            scan_slot(ns, slot, ost_index, out);
-          }
-        }
-        // Object scan: each shard reads the OST counters it owns.
-        for (std::size_t i = s; i < ns.num_osts(); i += shards) {
-          out.actual_bytes[i] = ns.ost(i).used();
-          out.actual_objects[i] = ns.ost(i).object_count();
-        }
-      },
-      options.jobs);
-
-  // --- merge: shard-index order, then one canonical sort ------------------
+  // --- phase 1: one serial scan of every inode-table slot -----------------
+  Scan scan;
+  scan.ref_bytes.assign(ns.num_osts(), 0);
+  scan.ref_objects.assign(ns.num_osts(), 0);
+  for (std::size_t slot = 0; slot < ns.slot_count(); ++slot) {
+    scan_slot(ns, slot, ost_index, scan);
+  }
   FsckReport report;
+  report.findings = std::move(scan.findings);
+  report.slots_scanned = ns.slot_count();
+  report.live_files = scan.live_ids.size();
   report.osts_scanned = ns.num_osts();
   report.journal_records = target.journal ? target.journal->size() : 0;
-  std::vector<std::uint64_t> table_live;
-  std::vector<Bytes> expect_bytes(ns.num_osts(), 0);
-  std::vector<std::uint64_t> expect_objects(ns.num_osts(), 0);
-  std::vector<Bytes> actual_bytes(ns.num_osts(), 0);
-  std::vector<std::uint64_t> actual_objects(ns.num_osts(), 0);
-  for (const ShardScan& scan : scans) {
-    report.slots_scanned += scan.slots;
-    report.live_files += scan.live;
-    for (const Finding& f : scan.findings) report.findings.push_back(f);
-    table_live.insert(table_live.end(), scan.live_ids.begin(),
-                      scan.live_ids.end());
-    for (std::size_t i = 0; i < ns.num_osts(); ++i) {
-      expect_bytes[i] += scan.ref_bytes[i];
-      expect_objects[i] += scan.ref_objects[i];
-      actual_bytes[i] += scan.actual_bytes[i];
-      actual_objects[i] += scan.actual_objects[i];
-    }
-  }
+  std::vector<std::uint64_t>& table_live = scan.live_ids;
   std::sort(table_live.begin(), table_live.end());
 
   // --- phase 2: serial cross-reference ------------------------------------
   for (std::size_t i = 0; i < ns.num_osts(); ++i) {
-    if (actual_bytes[i] == expect_bytes[i] &&
-        actual_objects[i] == expect_objects[i]) {
+    const Bytes actual_bytes = ns.ost(i).used();
+    const std::uint64_t actual_objects = ns.ost(i).object_count();
+    const Bytes expect_bytes = scan.ref_bytes[i];
+    const std::uint64_t expect_objects = scan.ref_objects[i];
+    if (actual_bytes == expect_bytes && actual_objects == expect_objects) {
       continue;
     }
     Finding f;
-    f.kind = (actual_bytes[i] >= expect_bytes[i] &&
-              actual_objects[i] >= expect_objects[i])
+    f.kind = (actual_bytes >= expect_bytes && actual_objects >= expect_objects)
                  ? FindingKind::kOrphanObjects
                  : FindingKind::kLostObjects;
     f.ost = static_cast<std::int64_t>(i);
-    f.expect_a = expect_bytes[i];
-    f.expect_b = expect_objects[i];
+    f.expect_a = expect_bytes;
+    f.expect_b = expect_objects;
     f.detail = "ost " + std::to_string(i) + " holds " +
-               std::to_string(actual_bytes[i]) + " bytes / " +
-               std::to_string(actual_objects[i]) +
+               std::to_string(actual_bytes) + " bytes / " +
+               std::to_string(actual_objects) +
                " objects, stripe maps reference " +
-               std::to_string(expect_bytes[i]) + " bytes / " +
-               std::to_string(expect_objects[i]) + " objects";
+               std::to_string(expect_bytes) + " bytes / " +
+               std::to_string(expect_objects) + " objects";
     report.findings.push_back(std::move(f));
   }
 

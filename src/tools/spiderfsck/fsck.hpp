@@ -1,4 +1,4 @@
-// spiderfsck: parallel consistency checking and repair for one namespace.
+// spiderfsck: consistency checking and repair for one namespace.
 //
 // Lesson 5 / Section IV-D: at Spider scale an ldiskfs fsck of a single OST
 // took "multiple days", and OLCF funded distributed metadata verification
@@ -6,22 +6,24 @@
 // namespaces. This tool reproduces the structure of that answer, phased
 // like pFSCK:
 //
-//   phase 1  scan     per-shard inode-table and journal scan, fanned over
-//                     the process-wide shared_pool() via parallel_for;
-//   phase 2  cross    serial cross-reference of the merged shard results:
-//                     dangling stripe refs, orphaned/lost OST objects,
-//                     namespace-vs-journal disagreement (fs/recovery
-//                     replay), counter drift, DNE accounting drift;
+//   phase 1  scan     one serial pass over the inode table: record ids,
+//                     dangling stripe refs, the live set, and the
+//                     bytes/objects every live stripe map says each OST
+//                     holds;
+//   phase 2  cross    serial cross-reference of the scan: orphaned/lost
+//                     OST objects, namespace-vs-journal disagreement
+//                     (fs/recovery replay), counter drift, DNE accounting
+//                     drift;
 //   phase 3  repair   serial, canonically ordered mutation of the
 //                     namespace/journal/OSTs, then a journal-cursor replay
 //                     (fs/recovery) to advance the committed cursor over
 //                     any backfilled tail.
 //
-// Determinism bar: the findings list, report JSON, and post-repair state
-// hash are byte-identical to the serial run at any worker count, shard
-// count, or shard-assignment policy. Shards buffer their results and the
-// merge step imposes one canonical order (the ShardedSimulator mailbox
-// discipline, applied to checking) — parallelism never leaks into output.
+// Phase 1 is 7-11% of a run; the journal replay and the create map in
+// phase 2 are 40-52% (docs/fsck.md), so a parallel fsck would start there,
+// as pFSCK's parallel cross-checks do. Findings are sorted into one
+// canonical order, so the report JSON and both hashes are a function of
+// the target alone.
 #pragma once
 
 #include <cstddef>
@@ -51,19 +53,7 @@ struct FsckTarget {
   std::uint32_t lost_found_project = 9999;
 };
 
-/// How phase-1 shards map onto inode-table slots. Findings are invariant
-/// under this choice — it exists so tests can prove that.
-enum class ShardAssignment : std::uint8_t {
-  kContiguous,  ///< shard s owns one contiguous slot range
-  kStrided,     ///< shard s owns slots where slot % shards == s
-};
-
 struct FsckOptions {
-  /// parallel_for lanes for phase 1. 0 = auto (whole machine), 1 = serial.
-  std::size_t jobs = 1;
-  /// Phase-1 scan shards. 0 = default (8).
-  std::size_t shards = 0;
-  ShardAssignment assignment = ShardAssignment::kContiguous;
   /// False = detect only (dry run); true = phase 3 mutates the target.
   bool repair = false;
 };
@@ -156,12 +146,11 @@ struct FsckReport {
 FsckReport run_fsck(const FsckTarget& target, const FsckOptions& options = {});
 
 /// Render a report as one JSON object: stable field order, hashes as hex,
-/// findings in canonical order. Byte-identical at any jobs/shards setting.
+/// findings in canonical order.
 std::string fsck_report_json(const FsckReport& report);
 
 /// FNV-1a digest of the target's observable state: every inode slot, the
-/// stripe pool, OST counters, journal records and cursor, DNE loads. Two
-/// targets repaired through different worker counts must hash equal.
+/// stripe pool, OST counters, journal records and cursor, DNE loads.
 std::uint64_t fsck_state_hash(const FsckTarget& target);
 
 // --- seeded corruption (tests, CLI --corrupt, property harness) -------------

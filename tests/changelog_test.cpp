@@ -1,5 +1,5 @@
 // Changelog consumer layer (fs/changelog.hpp) + incremental purge engine:
-// cursor/crash contract, sharded accounting determinism, and the
+// cursor/crash contract, per-project accounting, and the
 // policy-class sweep — the unit tier behind ROADMAP item 2.
 #include <gtest/gtest.h>
 
@@ -255,7 +255,7 @@ TEST(ChangelogAccounting, DerivedUsageMatchesNamespaceWalk) {
   for (std::size_t i = 0; i < ids.size(); i += 6) ns.unlink(ids[i], 130);
   log.commit(log.last_txid());
 
-  ChangelogAccounting acct(4);
+  ChangelogAccounting acct;
   const ConsumeResult res = acct.consume(log);
   EXPECT_FALSE(res.cursor_ahead);
   EXPECT_FALSE(res.gap);
@@ -266,53 +266,41 @@ TEST(ChangelogAccounting, DerivedUsageMatchesNamespaceWalk) {
   EXPECT_EQ(derived_files, ns.live_files());
 }
 
-TEST(ChangelogAccounting, SetProjectMovesBytesAcrossShardBoundaries) {
+TEST(ChangelogAccounting, SetProjectMovesBytesBetweenProjects) {
   OpLog log;
-  // Projects 2 and 5 land in different shards at every fan-out tested.
   log.append(OpKind::kCreate, 1, 2, 10_MiB, 0);
   log.append(OpKind::kSetProject, 1, 5, 10_MiB, 1, /*prev_project=*/2);
   log.commit(2);
-  for (const std::uint32_t shards : {1u, 2u, 3u, 8u}) {
-    ChangelogAccounting acct(shards);
-    acct.consume(log);
-    EXPECT_EQ(acct.bytes_of(2), 0u) << shards;
-    EXPECT_EQ(acct.files_of(2), 0u) << shards;
-    EXPECT_EQ(acct.bytes_of(5), 10_MiB) << shards;
-    EXPECT_EQ(acct.files_of(5), 1u) << shards;
-  }
+  ChangelogAccounting acct;
+  acct.consume(log);
+  EXPECT_EQ(acct.bytes_of(2), 0u);
+  EXPECT_EQ(acct.files_of(2), 0u);
+  EXPECT_EQ(acct.bytes_of(5), 10_MiB);
+  EXPECT_EQ(acct.files_of(5), 1u);
 }
 
-TEST(ChangelogAccounting, TableHashInvariantAcrossShardFanOut) {
+TEST(ChangelogAccounting, ProjectsSharingALookupSlotStaySeparate) {
+  // Projects 3, 11 and 2^32 - 5 are all 3 mod 8, so they share one slot of
+  // consume()'s row cache; records interleave them one by one.
+  const std::uint32_t projects[] = {3, 11, 4294967291u};
   OpLog log;
-  Rng rng(13);
-  std::uint64_t next_file = 1;
-  for (int i = 0; i < 400; ++i) {
-    const auto project = static_cast<std::uint32_t>(rng.uniform_index(16));
-    const std::uint64_t roll = rng.uniform_index(4);
-    if (roll == 0 && next_file > 1) {
-      const std::uint64_t victim = 1 + rng.uniform_index(next_file - 1);
-      log.append(OpKind::kUnlink, victim, project, 1_MiB, i);
-    } else if (roll == 1) {
-      log.append(OpKind::kResize, 1 + rng.uniform_index(next_file), project,
-                 (1 + rng.uniform_index(8)) * 1_MiB, i, 0, 1_MiB);
-    } else if (roll == 2 && next_file > 1) {
-      log.append(OpKind::kSetProject, 1 + rng.uniform_index(next_file - 1),
-                 project, 1_MiB, i,
-                 static_cast<std::uint32_t>(rng.uniform_index(16)));
-    } else {
-      log.append(OpKind::kCreate, next_file++, project, 1_MiB, i);
+  std::uint64_t file = 1;
+  for (int round = 0; round < 4; ++round) {
+    for (const std::uint32_t p : projects) {
+      log.append(OpKind::kCreate, file++, p, (round + 1) * 1_MiB, round);
     }
   }
+  // File 1 (project 3, 1 MiB) moves to project 11.
+  log.append(OpKind::kSetProject, 1, 11, 1_MiB, 9, /*prev_project=*/3);
   log.commit(log.last_txid());
-
-  ChangelogAccounting reference(1);
-  reference.consume(log);
-  for (const std::uint32_t shards : {2u, 3u, 4u, 16u}) {
-    ChangelogAccounting acct(shards);
-    acct.consume(log);
-    EXPECT_EQ(acct.table_hash(), reference.table_hash()) << shards;
-    EXPECT_EQ(acct.usage(), reference.usage()) << shards;
-  }
+  ChangelogAccounting acct;
+  acct.consume(log);
+  EXPECT_EQ(acct.bytes_of(3), 9_MiB);
+  EXPECT_EQ(acct.files_of(3), 3u);
+  EXPECT_EQ(acct.bytes_of(11), 11_MiB);
+  EXPECT_EQ(acct.files_of(11), 5u);
+  EXPECT_EQ(acct.bytes_of(4294967291u), 10_MiB);
+  EXPECT_EQ(acct.files_of(4294967291u), 4u);
 }
 
 TEST(ChangelogAccounting, RebuildFromNamespaceResyncsAfterLostRecords) {
@@ -326,7 +314,7 @@ TEST(ChangelogAccounting, RebuildFromNamespaceResyncsAfterLostRecords) {
   }
   log.commit(log.last_txid());
 
-  ChangelogAccounting acct(2);
+  ChangelogAccounting acct;
   acct.consume(log);
   // Crash: lose half the committed log under live namespace state. A
   // prefix replay can never reconcile this — only ground truth can.

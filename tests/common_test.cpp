@@ -16,6 +16,7 @@
 #include "common/distributions.hpp"
 #include "common/histogram.hpp"
 #include "common/parallel.hpp"
+#include "common/parse.hpp"
 #include "common/rng.hpp"
 #include "common/stats.hpp"
 #include "common/table.hpp"
@@ -338,6 +339,38 @@ TEST(Table, RejectsWrongArity) {
   Table t;
   t.set_columns({"a", "b"});
   EXPECT_THROW(t.add_row({std::int64_t{1}}), std::invalid_argument);
+}
+
+TEST(Parse, CountTakesWholeDecimalTextUpToUint64Max) {
+  std::uint64_t v = 7;
+  EXPECT_TRUE(parse_count("0", v));
+  EXPECT_EQ(v, 0u);
+  EXPECT_TRUE(parse_count("18446744073709551615", v));
+  EXPECT_EQ(v, 18446744073709551615ull);
+  for (const char* bad : {"", "18446744073709551616", "18446744073709551617",
+                          "-1", "+1", " 1", "1 ", "12x", "0x10", "1.0"}) {
+    v = 7;
+    EXPECT_FALSE(parse_count(bad, v)) << "'" << bad << "'";
+    EXPECT_EQ(v, 7u) << "failed parse must leave the output alone";
+  }
+}
+
+TEST(Parse, FiniteRejectsNonFiniteOverflowAndJunk) {
+  double d = 0.0;
+  EXPECT_TRUE(parse_finite("1.5", d));
+  EXPECT_DOUBLE_EQ(d, 1.5);
+  EXPECT_TRUE(parse_finite("-4", d));
+  EXPECT_DOUBLE_EQ(d, -4.0);
+  EXPECT_TRUE(parse_finite("2e3", d));
+  EXPECT_DOUBLE_EQ(d, 2000.0);
+  EXPECT_TRUE(parse_finite("1e+06", d));  // what ostream << prints
+  EXPECT_DOUBLE_EQ(d, 1e6);
+  for (const char* bad : {"", "inf", "-inf", "infinity", "nan", "NaN", "1e999",
+                          "1.5x", " 1", "+1", "0x1p3"}) {
+    d = 7.0;
+    EXPECT_FALSE(parse_finite(bad, d)) << "'" << bad << "'";
+    EXPECT_DOUBLE_EQ(d, 7.0) << "failed parse must leave the output alone";
+  }
 }
 
 TEST(Parallel, ParallelForCoversAllIndices) {

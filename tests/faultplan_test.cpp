@@ -110,6 +110,19 @@ TEST(FaultPlanParse, RejectsUnknownKeysAndKinds) {
                std::invalid_argument);
 }
 
+TEST(FaultPlanParse, RejectsNonFiniteAndOutOfRangeNumbers) {
+  // Non-finite numbers and seconds past SimTime's ~9.22e9 s range used to
+  // reach from_seconds() and abort deep in the simulator.
+  for (const char* text :
+       {"horizon_s = inf\n", "horizon_s = nan\n", "horizon_s = 1e10\n",
+        "seed = 1e30\n", "[[inject]]\nat_s = inf\n",
+        "[[inject]]\nat_s = 1e12\n", "[[inject]]\nduration_s = -1e10\n",
+        "[[inject]]\npoll_s = nan\n", "[[inject]]\nmagnitude = inf\n"}) {
+    EXPECT_THROW(parse_fault_plan(text), std::invalid_argument) << text;
+  }
+  EXPECT_DOUBLE_EQ(parse_fault_plan("horizon_s = 9e9\n").horizon_s, 9e9);
+}
+
 TEST(FaultPlanParse, KindAndTriggerNamesRoundTrip) {
   for (std::size_t i = 0; i < kFaultKindCount; ++i) {
     const auto kind = static_cast<FaultKind>(i);

@@ -145,28 +145,4 @@ TEST(IncidentGolden, CorruptRepairTraceIsPinned) {
             out.report.state_hash);
 }
 
-TEST(IncidentGolden, ShardedCampaignReproducesSerialGolden) {
-  // The sharded engine's acceptance bar: the same campaign hosted on a
-  // ShardedSimulator must reproduce the pinned serial goldens — verdict JSON
-  // included — at every shard count. The epoch barriers are invisible in the
-  // replay stream.
-  const sim::FaultPlan plan = golden_storm_plan();
-  const std::string serial_json =
-      tools::verdict_json(tools::run_campaign(plan, 2014));
-  for (const std::size_t shards : {1u, 2u, 4u, 8u}) {
-    const tools::RunVerdict verdict =
-        tools::run_campaign_sharded(plan, 2014, {}, shards, /*workers=*/1);
-    EXPECT_EQ(verdict.stream_hash, 0x0710faa19bdba7aaull)
-        << "shards=" << shards << " actual: 0x" << std::hex
-        << verdict.stream_hash;
-    EXPECT_EQ(verdict.events, 273u) << "shards=" << shards;
-    EXPECT_EQ(tools::verdict_json(verdict), serial_json)
-        << "shards=" << shards;
-  }
-  // And with the epoch fan-out actually enabled (workers = auto).
-  const tools::RunVerdict fanned =
-      tools::run_campaign_sharded(plan, 2014, {}, 4, 0);
-  EXPECT_EQ(tools::verdict_json(fanned), serial_json);
-}
-
 }  // namespace

@@ -233,10 +233,7 @@ TEST_P(FsckSoundnessP, TruncatedJournalOrUnjournaledChurnNeverChecksClean) {
   const tools::FsckReport dry = tools::run_fsck(fs.target());
   ASSERT_FALSE(dry.clean()) << "mode=" << mode << " seed=" << seed;
 
-  tools::FsckOptions repair;
-  repair.repair = true;
-  repair.jobs = 1 + rng.uniform_index(4);
-  tools::run_fsck(fs.target(), repair);
+  tools::run_fsck(fs.target(), tools::FsckOptions{.repair = true});
   EXPECT_TRUE(tools::run_fsck(fs.target()).clean())
       << "mode=" << mode << " seed=" << seed << "\n"
       << tools::fsck_report_json(tools::run_fsck(fs.target()));
@@ -247,9 +244,9 @@ INSTANTIATE_TEST_SUITE_P(Seeds, FsckSoundnessP, ::testing::Range(0, 9));
 // --- changelog crash consistency ------------------------------------------
 //
 // The ROADMAP item 2 property: a changelog consumer that detects the
-// crash-rewind (cursor_ahead) and rebuilds is indistinguishable, at any
-// shard fan-out, from a consumer built from scratch over the same log —
-// even when the crash makes the log reuse txids for different operations.
+// crash-rewind (cursor_ahead) and rebuilds is indistinguishable from a
+// consumer built from scratch over the same log — even when the crash
+// makes the log reuse txids for different operations.
 
 namespace {
 
@@ -299,8 +296,7 @@ TEST_P(ChangelogCrashP, DetectAndRebuildConvergesWithFromScratchReplay) {
   fs::OpLog& log = *fs.journal;
   ns.attach_oplog(&log, fs::kLogDefault);
 
-  fs::ChangelogAccounting acct(
-      static_cast<std::uint32_t>(1 + rng.uniform_index(4)));
+  fs::ChangelogAccounting acct;
   ASSERT_FALSE(acct.consume(log).cursor_ahead);
   std::vector<fs::FileId> pool = ns.live_ids();
 
@@ -342,9 +338,8 @@ TEST_P(ChangelogCrashP, DetectAndRebuildConvergesWithFromScratchReplay) {
   }
 
   // The surviving consumer is byte-identical to one built from scratch
-  // over the same committed prefix, at a different shard fan-out.
-  fs::ChangelogAccounting scratch(
-      static_cast<std::uint32_t>(1 + rng.uniform_index(8)));
+  // over the same committed prefix.
+  fs::ChangelogAccounting scratch;
   const fs::ConsumeResult replay = scratch.rebuild(log);
   ASSERT_FALSE(replay.cursor_ahead);
   ASSERT_FALSE(replay.gap);
@@ -353,43 +348,6 @@ TEST_P(ChangelogCrashP, DetectAndRebuildConvergesWithFromScratchReplay) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ChangelogCrashP, ::testing::Range(0, 8));
-
-// --- changelog shard determinism ------------------------------------------
-
-class ChangelogShardsP : public ::testing::TestWithParam<std::uint32_t> {};
-
-TEST_P(ChangelogShardsP, AccountingIsShardCountInvariant) {
-  const std::uint32_t shards = GetParam();
-  Rng rng(77);
-
-  tools::SyntheticFsConfig cfg;
-  cfg.files = 128;
-  cfg.churn = 0.25;
-  tools::SyntheticFs fs = tools::make_synthetic_fs(cfg);
-  fs::FsNamespace& ns = *fs.ns;
-  fs::OpLog& log = *fs.journal;
-  ns.attach_oplog(&log, fs::kLogDefault);
-
-  std::vector<fs::FileId> pool = ns.live_ids();
-  sim::SimTime now = 0;
-  for (int op = 0; op < 256; ++op) {
-    now += sim::kSecond;
-    churn_once(ns, pool, now, rng);
-  }
-  log.commit(log.last_txid());
-
-  // Every fan-out derives the identical table — and the table is the truth.
-  fs::ChangelogAccounting flat(1);
-  flat.rebuild(log);
-  fs::ChangelogAccounting acct(shards);
-  acct.rebuild(log);
-  EXPECT_EQ(acct.table_hash(), flat.table_hash()) << shards;
-  EXPECT_EQ(acct.usage(), flat.usage()) << shards;
-  EXPECT_EQ(acct.usage(), ns.usage_by_project()) << shards;
-}
-
-INSTANTIATE_TEST_SUITE_P(FanOut, ChangelogShardsP,
-                         ::testing::Values(1u, 2u, 3u, 5u, 8u, 16u));
 
 }  // namespace
 }  // namespace spider
