@@ -1,13 +1,17 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <cstdint>
 
+#include "common/hash.hpp"
 #include "common/rng.hpp"
 #include "common/stats.hpp"
 #include "core/center.hpp"
 #include "core/exclusive_model.hpp"
 #include "core/scenario.hpp"
 #include "core/spider_config.hpp"
+#include "sim/replay.hpp"
 #include "workload/analytics.hpp"
 #include "workload/ior.hpp"
 
@@ -283,6 +287,41 @@ TEST(Scenario, ThroughputLogSeesBurst) {
   // Quiet before the burst, hot during.
   EXPECT_LT(log[2], 1.0);
   EXPECT_GT(*std::max_element(log.begin(), log.end()), 1.0 * kGBps);
+}
+
+// Bit-level pin of the flow layer at center scale: 16 analytics readers and
+// a small grouped checkpoint burst share 8 OSTs of the 0.1-scale Spider II,
+// the C16 shape in a few simulated seconds. The telemetry hash and every
+// latency's bits must survive any rewrite of the solver or flow bookkeeping.
+TEST(Scenario, ContendedRunIsPinned) {
+  Rng rng(2014);
+  CenterModel c(scaled_config(spider2_config(), 0.1), rng);
+  c.set_client_placement(ClientPlacement::kRandom, rng);
+  sim::Simulator sim;
+  ScenarioRunner runner(c, sim);
+  workload::AnalyticsParams ap;
+  ap.clients = 16;
+  Rng wrng(11);
+  std::vector<double> latencies;
+  runner.submit_requests(workload::AnalyticsWorkload(ap).generate(3.0, wrng),
+                         [](std::size_t w) { return w % 8; }, &latencies);
+  workload::IoBurst burst;
+  burst.start = sim::kSecond;
+  burst.clients = 256;
+  burst.bytes_per_client = 16_MiB;
+  runner.submit_burst(burst, [](std::size_t f) { return f % 8; }, nullptr, 32,
+                      100000);
+  sim.run();
+
+  sim::ReplayRecorder rec;
+  rec.record_resource_stats(runner.network());
+  std::uint64_t latency_bits = kFnvOffsetBasis;
+  for (const double l : latencies) {
+    latency_bits = fnv1a(latency_bits, std::bit_cast<std::uint64_t>(l));
+  }
+  EXPECT_EQ(latencies.size(), 945u);
+  EXPECT_EQ(latency_bits, 0xb97a47f730c787c9ull);
+  EXPECT_EQ(rec.stats_hash(), 0xd16675d25863b908ull);
 }
 
 // --- machine-exclusive comparison ----------------------------------------------
