@@ -1,7 +1,6 @@
 #include "sim/flow_network.hpp"
 
 #include <algorithm>
-#include <cassert>
 #include <cmath>
 #include <stdexcept>
 
@@ -18,17 +17,20 @@ ResourceId FlowNetwork::add_resource(std::string name, double capacity) {
   names_.push_back(std::move(name));
   capacity_.push_back(capacity);
   stats_.emplace_back();
+  used_.push_back(0.0);
   return static_cast<ResourceId>(capacity_.size() - 1);
 }
 
 void FlowNetwork::set_capacity(ResourceId id, double capacity) {
   advance_progress();
   capacity_.at(id) = capacity;
+  inputs_changed_ = true;
   resolve();
 }
 
 FlowId FlowNetwork::start_flow(FlowDesc desc) {
   if (desc.size <= 0.0) throw std::invalid_argument("flow size must be > 0");
+  if (std::isnan(desc.rate_cap)) throw std::invalid_argument("flow rate cap is NaN");
   for (const auto& hop : desc.path) {
     if (hop.resource >= capacity_.size()) {
       throw std::out_of_range("flow path references unknown resource");
@@ -37,14 +39,12 @@ FlowId FlowNetwork::start_flow(FlowDesc desc) {
   const FlowId id = next_flow_id_++;
   auto activate = [this, id, desc = std::move(desc)]() mutable {
     advance_progress();
-    ActiveFlow f;
-    f.path = std::move(desc.path);
-    f.size = desc.size;
-    f.remaining = desc.size;
-    f.rate_cap = desc.rate_cap;
-    f.on_complete = std::move(desc.on_complete);
-    for (const auto& hop : f.path) ++stats_[hop.resource].flows_seen;
-    flows_.emplace(id, std::move(f));
+    for (const auto& hop : desc.path) ++stats_[hop.resource].flows_seen;
+    // Latency can activate flows out of id order.
+    flows_.insert(lower_bound(id),
+                  ActiveFlow{id, std::move(desc.path), desc.size, desc.size,
+                             desc.rate_cap, 0.0, std::move(desc.on_complete)});
+    inputs_changed_ = true;
     resolve();
   };
   if (desc.latency > 0) {
@@ -57,16 +57,27 @@ FlowId FlowNetwork::start_flow(FlowDesc desc) {
 }
 
 void FlowNetwork::cancel_flow(FlowId id) {
-  auto it = flows_.find(id);
+  const auto it = find(id);
   if (it == flows_.end()) return;
   advance_progress();
   flows_.erase(it);
+  inputs_changed_ = true;
   resolve();
 }
 
 double FlowNetwork::flow_rate(FlowId id) const {
-  auto it = flows_.find(id);
-  return it == flows_.end() ? 0.0 : it->second.rate;
+  const auto it = find(id);
+  return it == flows_.end() ? 0.0 : it->rate;
+}
+
+FlowNetwork::FlowIter FlowNetwork::lower_bound(FlowId id) const {
+  return std::lower_bound(flows_.begin(), flows_.end(), id,
+                          [](const ActiveFlow& f, FlowId v) { return f.id < v; });
+}
+
+FlowNetwork::FlowIter FlowNetwork::find(FlowId id) const {
+  const FlowIter it = lower_bound(id);
+  return it != flows_.end() && it->id == id ? it : flows_.end();
 }
 
 void FlowNetwork::advance_progress() {
@@ -75,18 +86,18 @@ void FlowNetwork::advance_progress() {
   const double dt = to_seconds(now - last_update_);
   last_update_ = now;
   if (dt <= 0.0) return;
-  // Per-resource delivered units this interval, for telemetry.
-  std::vector<double> used(capacity_.size(), 0.0);
-  for (auto& [id, f] : flows_) {
+  // Per-resource delivered units this interval, for telemetry. Every hop of
+  // every live flow is in the last solve's touched set, and every other
+  // resource would only add zero.
+  for (auto& f : flows_) {
     const double moved = std::min(f.remaining, f.rate * dt);
     f.remaining -= moved;
-    for (const auto& hop : f.path) used[hop.resource] += moved * hop.cost;
+    for (const auto& hop : f.path) used_[hop.resource] += moved * hop.cost;
   }
-  for (std::size_t r = 0; r < capacity_.size(); ++r) {
-    stats_[r].served += used[r];
-    if (capacity_[r] > 0.0) {
-      stats_[r].busy_integral += used[r] / capacity_[r];
-    }
+  for (const ResourceId r : solver_.touched()) {
+    stats_[r].served += used_[r];
+    if (capacity_[r] > 0.0) stats_[r].busy_integral += used_[r] / capacity_[r];
+    used_[r] = 0.0;
   }
 }
 
@@ -96,30 +107,19 @@ void FlowNetwork::resolve() {
     sim_.cancel(completion_event_);
     completion_scheduled_ = false;
   }
-
-  // flows_ is id-ordered, so the solver sees flows in a canonical sequence
-  // and rate/float-sum results depend only on the live flow set.
-  std::vector<SolverFlow> sf;
-  sf.reserve(flows_.size());
-  for (const auto& [id, f] : flows_) {
-    sf.push_back(SolverFlow{f.path, f.rate_cap});
+  // Unchanged inputs give bit-identical rates, so only the completion time
+  // (from the flows' new remaining sizes) needs recomputing.
+  if (inputs_changed_) {
+    solve();
+  } else {
+    ++counters_.skipped_solves;
   }
-  const SolveResult res = solve_max_min(capacity_, sf);
-
-  aggregate_rate_ = 0.0;
   double min_completion_s = kUnbounded;
-  std::size_t i = 0;
-  for (auto& [id, f] : flows_) {
-    f.rate = res.rate[i++];
-    aggregate_rate_ += f.rate;
+  for (const auto& f : flows_) {
     if (f.rate > 0.0) {
       min_completion_s = std::min(min_completion_s, f.remaining / f.rate);
     }
   }
-  for (std::size_t r = 0; r < capacity_.size(); ++r) {
-    stats_[r].current_load = res.utilization[r];
-  }
-
   if (!std::isinf(min_completion_s)) {
     SimTime dt = from_seconds(min_completion_s);
     if (dt < 1) dt = 1;  // always move forward
@@ -128,21 +128,53 @@ void FlowNetwork::resolve() {
   }
 }
 
+void FlowNetwork::solve() {
+  inputs_changed_ = false;
+  // flows_ is id-ordered, so the solver sees flows in a canonical sequence
+  // and rate/float-sum results depend only on the live flow set.
+  for (const auto& f : flows_) solver_flows_.push_back(SolverFlow{f.path, f.rate_cap});
+  for (const ResourceId r : solver_.touched()) stats_[r].current_load = 0.0;
+  solver_.solve(capacity_, solver_flows_);
+  solver_flows_.clear();  // its spans view flows_, which may reallocate
+
+  const std::span<const double> rate = solver_.rates();
+  aggregate_rate_ = 0.0;
+  for (std::size_t i = 0; i < flows_.size(); ++i) {
+    flows_[i].rate = rate[i];
+    aggregate_rate_ += rate[i];
+  }
+  const std::span<const ResourceId> touched = solver_.touched();
+  for (std::size_t i = 0; i < touched.size(); ++i) {
+    stats_[touched[i]].current_load = solver_.utilization()[i];
+  }
+  ++counters_.solves;
+  counters_.iterations += solver_.iterations();
+  counters_.flows_solved += flows_.size();
+  counters_.resources_touched += touched.size();
+}
+
 void FlowNetwork::on_completion_event() {
   completion_scheduled_ = false;
   advance_progress();
-  // Collect finished flows (remaining ~ 0), fire callbacks after erasing so
-  // callbacks may start new flows re-entrantly. The id-ordered walk makes
-  // both the total_delivered_ sum and the callback order canonical.
+  // Collect finished flows (remaining ~ 0), fire callbacks after removing
+  // them so callbacks may start new flows re-entrantly. The id-ordered walk
+  // makes both the total_delivered_ sum and the callback order canonical,
+  // and the compaction keeps the survivors in id order.
   std::vector<std::pair<FlowId, std::function<void(FlowId, SimTime)>>> done;
-  for (auto it = flows_.begin(); it != flows_.end();) {
-    if (it->second.remaining <= kRemainingEps * (1.0 + it->second.remaining)) {
-      total_delivered_ += it->second.size;
-      done.emplace_back(it->first, std::move(it->second.on_complete));
-      it = flows_.erase(it);
+  std::size_t kept = 0;
+  for (std::size_t i = 0; i < flows_.size(); ++i) {
+    ActiveFlow& f = flows_[i];
+    if (f.remaining <= kRemainingEps * (1.0 + f.remaining)) {
+      total_delivered_ += f.size;
+      done.emplace_back(f.id, std::move(f.on_complete));
     } else {
-      ++it;
+      if (kept != i) flows_[kept] = std::move(f);
+      ++kept;
     }
+  }
+  if (!done.empty()) {
+    flows_.erase(flows_.begin() + static_cast<std::ptrdiff_t>(kept), flows_.end());
+    inputs_changed_ = true;
   }
   const SimTime now = sim_.now();
   for (auto& [id, cb] : done) {

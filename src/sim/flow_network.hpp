@@ -1,9 +1,11 @@
 // Dynamic flow network coupled to the discrete-event simulator.
 //
-// Flows arrive and depart over simulated time; on every change the max-min
-// allocation is re-solved and the next completion is scheduled. This gives
-// exact flow-level dynamics with O(completions) events, which is what makes
-// month-long purge simulations and checkpoint-interference studies cheap.
+// Flows arrive and depart over simulated time; whenever the flow set or a
+// capacity changes the max-min allocation is re-solved, and after every event
+// the next completion is scheduled. This gives exact flow-level dynamics with
+// O(completions) events, which is what makes month-long purge simulations
+// and checkpoint-interference studies cheap. Per-event work scales with the
+// live flows and the resources they cross, never with the resource count.
 //
 // Each resource additionally records telemetry (cumulative units served,
 // busy-time integral, current load) feeding the monitoring tools (DDN tool,
@@ -12,7 +14,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <string>
 #include <vector>
 
@@ -30,6 +31,16 @@ struct ResourceStats {
   double busy_integral = 0.0;  ///< integral of utilization over seconds
   double current_load = 0.0;   ///< instantaneous utilization in [0, 1]
   std::uint64_t flows_seen = 0;
+};
+
+/// Solver work a FlowNetwork has done. Counts only — no clock reads — so
+/// they are deterministic and may be golden-pinned.
+struct SolveCounters {
+  std::uint64_t solves = 0;             ///< max-min solves run
+  std::uint64_t skipped_solves = 0;     ///< re-solves skipped: inputs unchanged
+  std::uint64_t iterations = 0;         ///< water-filling passes, all solves
+  std::uint64_t flows_solved = 0;       ///< flows handed to the solver, summed
+  std::uint64_t resources_touched = 0;  ///< resources the solver visited, summed
 };
 
 /// Description of a flow to start.
@@ -67,9 +78,11 @@ class FlowNetwork {
   double aggregate_rate() const { return aggregate_rate_; }
   /// Sum of completed flow sizes.
   double total_delivered() const { return total_delivered_; }
+  const SolveCounters& counters() const { return counters_; }
 
  private:
   struct ActiveFlow {
+    FlowId id;
     std::vector<PathHop> path;
     double size;
     double remaining;
@@ -78,21 +91,36 @@ class FlowNetwork {
     std::function<void(FlowId, SimTime)> on_complete;
   };
 
+  using FlowIter = std::vector<ActiveFlow>::const_iterator;
+  /// First flow with id >= `id`.
+  FlowIter lower_bound(FlowId id) const;
+  /// The flow with `id`, or flows_.end().
+  FlowIter find(FlowId id) const;
   /// Integrate progress of all active flows since last_update_.
   void advance_progress();
-  /// Re-solve rates and schedule the next completion event.
+  /// Re-solve rates if the flow set or a capacity changed, then schedule the
+  /// next completion event.
   void resolve();
+  void solve();
   void on_completion_event();
 
   Simulator& sim_;
   std::vector<std::string> names_;
   std::vector<double> capacity_;
   std::vector<ResourceStats> stats_;
-  /// Ordered by FlowId so every walk — progress integration, solver input,
+  /// Sorted by FlowId so every walk — progress integration, solver input,
   /// completion collection — visits flows in the same sequence regardless of
   /// insertion/cancellation history. Float accumulation order is therefore a
-  /// function of the live flow set alone, never of hash-table state.
-  std::map<FlowId, ActiveFlow> flows_;
+  /// function of the live flow set alone.
+  std::vector<ActiveFlow> flows_;
+  /// The flow set or a capacity changed since the last solve.
+  bool inputs_changed_ = false;
+  MaxMinSolver solver_;
+  std::vector<SolverFlow> solver_flows_;
+  /// Units each resource delivered in the interval advance_progress()
+  /// integrates; zero outside it.
+  std::vector<double> used_;
+  SolveCounters counters_;
   FlowId next_flow_id_ = 1;
   SimTime last_update_ = 0;
   EventId completion_event_ = 0;

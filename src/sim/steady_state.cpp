@@ -1,6 +1,7 @@
 #include "sim/steady_state.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <stdexcept>
 
 namespace spider::sim {
@@ -17,6 +18,7 @@ void SteadyStateSolver::set_capacity(ResourceId id, double capacity) {
 }
 
 std::size_t SteadyStateSolver::add_flow(std::vector<PathHop> path, double rate_cap) {
+  if (std::isnan(rate_cap)) throw std::invalid_argument("flow rate cap is NaN");
   for (const auto& hop : path) {
     if (hop.resource >= capacity_.size()) {
       throw std::out_of_range("flow path references unknown resource");
@@ -39,7 +41,8 @@ const SolveResult& SteadyStateSolver::solve() {
   for (std::size_t f = 0; f < paths_.size(); ++f) {
     flows.push_back(SolverFlow{paths_[f], caps_[f]});
   }
-  result_ = solve_max_min(capacity_, flows);
+  solver_.solve(capacity_, flows);
+  solver_.export_result(capacity_.size(), result_);
   return result_;
 }
 

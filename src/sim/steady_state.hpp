@@ -49,6 +49,7 @@ class SteadyStateSolver {
   std::vector<double> capacity_;
   std::vector<std::vector<PathHop>> paths_;
   std::vector<double> caps_;
+  MaxMinSolver solver_;
   SolveResult result_;
 };
 

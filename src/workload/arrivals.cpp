@@ -25,7 +25,8 @@ double ArrivalProcess::next_gap_s(Rng& rng) {
 std::vector<IoRequest> generate_trace(const WorkloadMixParams& mix,
                                       std::uint32_t clients, double duration_s,
                                       Rng& rng) {
-  RequestSizeModel sizes(mix);
+  const RequestSizeModel sizes(mix);
+  const Zipf large = sizes.large_multiples();
   std::vector<IoRequest> trace;
   for (std::uint32_t c = 0; c < clients; ++c) {
     Rng local = rng.fork(c);
@@ -37,7 +38,7 @@ std::vector<IoRequest> generate_trace(const WorkloadMixParams& mix,
       IoRequest req;
       req.issue_time = sim::from_seconds(t);
       req.client = c;
-      req.size = sizes.sample(local);
+      req.size = sizes.sample(local, large);
       req.dir = sample_dir(mix, local);
       // Bulk multi-MB requests stream sequentially; the small mode lands
       // scattered (metadata, headers, logs).

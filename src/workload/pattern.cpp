@@ -3,8 +3,6 @@
 #include <cmath>
 #include <stdexcept>
 
-#include "common/distributions.hpp"
-
 namespace spider::workload {
 
 RequestSizeModel::RequestSizeModel(const WorkloadMixParams& mix) : mix_(mix) {
@@ -16,7 +14,11 @@ RequestSizeModel::RequestSizeModel(const WorkloadMixParams& mix) : mix_(mix) {
   }
 }
 
-Bytes RequestSizeModel::sample(Rng& rng) const {
+Zipf RequestSizeModel::large_multiples() const {
+  return Zipf(mix_.large_max_mb, mix_.large_zipf_s);
+}
+
+Bytes RequestSizeModel::sample(Rng& rng, const Zipf& large) const {
   if (rng.chance(mix_.small_fraction)) {
     // Small mode: log-uniform between the bounds (heavier near the bottom,
     // as the trace study showed for sub-16 KB metadata-ish requests).
@@ -25,8 +27,7 @@ Bytes RequestSizeModel::sample(Rng& rng) const {
     return static_cast<Bytes>(std::exp2(rng.uniform(lo, hi)));
   }
   // Large mode: exact multiples of 1 MB, Zipf-weighted toward 1 MB.
-  const Zipf zipf(mix_.large_max_mb, mix_.large_zipf_s);
-  const std::size_t k = zipf.sample(rng) + 1;
+  const std::size_t k = large.sample(rng) + 1;
   return static_cast<Bytes>(k) * 1_MB;
 }
 

@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "block/disk.hpp"
+#include "common/distributions.hpp"
 #include "common/rng.hpp"
 #include "common/units.hpp"
 #include "sim/time.hpp"
@@ -51,7 +52,11 @@ class RequestSizeModel {
  public:
   explicit RequestSizeModel(const WorkloadMixParams& mix);
 
-  Bytes sample(Rng& rng) const;
+  /// Distribution of k for the large mode's k x 1 MB requests. Build it once
+  /// per trace: it costs large_max_mb pow() calls and an allocation.
+  Zipf large_multiples() const;
+  /// Draws one size; `large` comes from large_multiples().
+  Bytes sample(Rng& rng, const Zipf& large) const;
   const WorkloadMixParams& mix() const { return mix_; }
 
  private:

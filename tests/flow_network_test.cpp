@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <vector>
 
 #include "sim/flow_network.hpp"
@@ -158,6 +159,35 @@ TEST_F(Fixture, StarvedFlowWakesOnCapacityRestore) {
   EXPECT_NEAR(to_seconds(done_at), 11.0, 1e-2);
 }
 
+TEST_F(Fixture, TruncatedCompletionTimeCostsOneEventAndNoSolve) {
+  // 1e6 units at 3e6 units/s take 1/3 s. from_seconds truncates that to
+  // 333,333,333 ns, where 1e-3 units remain: more than the finish tolerance.
+  // That completion event finishes nothing, so it keeps the rates without a
+  // solve; a second one, 1 ns later, finishes the flow.
+  const auto r = net.add_resource("link", 3e6);
+  int completions = 0;
+  SimTime done_at = -1;
+  FlowDesc d;
+  d.path = {{r, 1.0}};
+  d.size = 1e6;
+  d.on_complete = [&](FlowId, SimTime t) {
+    ++completions;
+    done_at = t;
+  };
+  net.start_flow(std::move(d));
+  ReplayRecorder rec;
+  rec.attach(sim);
+  sim.run();
+  ASSERT_EQ(rec.events_recorded(), 2u);
+  EXPECT_EQ(rec.records()[0].when, 333333333);
+  EXPECT_EQ(completions, 1);
+  EXPECT_EQ(done_at, 333333334);
+  // One solve when the flow starts, one for the empty set after it finishes.
+  EXPECT_EQ(net.counters().solves, 2u);
+  EXPECT_EQ(net.counters().skipped_solves, 1u);
+  EXPECT_EQ(net.counters().flows_solved, 1u);
+}
+
 TEST_F(Fixture, RejectsInvalidFlows) {
   const auto r = net.add_resource("link", 10.0);
   FlowDesc bad_size;
@@ -168,6 +198,11 @@ TEST_F(Fixture, RejectsInvalidFlows) {
   bad_path.path = {{42, 1.0}};
   bad_path.size = 1.0;
   EXPECT_THROW(net.start_flow(std::move(bad_path)), std::out_of_range);
+  FlowDesc bad_cap;
+  bad_cap.path = {{r, 1.0}};
+  bad_cap.size = 1.0;
+  bad_cap.rate_cap = std::nan("");
+  EXPECT_THROW(net.start_flow(std::move(bad_cap)), std::invalid_argument);
 }
 
 TEST_F(Fixture, ManyFlowsConserveBytes) {

@@ -555,6 +555,7 @@ TEST(SteadyStateSolver, RejectsBadFlow) {
   SteadyStateSolver s;
   s.add_resource("r", 10.0);
   EXPECT_THROW(s.add_flow({{5, 1.0}}), std::out_of_range);
+  EXPECT_THROW(s.add_flow({{0, 1.0}}, std::nan("")), std::invalid_argument);
   EXPECT_THROW(s.add_resource("bad", -1.0), std::invalid_argument);
 }
 

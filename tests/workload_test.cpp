@@ -20,10 +20,11 @@ namespace {
 TEST(Pattern, SizesAreBimodal) {
   Rng rng(1);
   RequestSizeModel model{WorkloadMixParams{}};
+  const Zipf large = model.large_multiples();
   std::size_t small = 0, mb_multiple = 0;
   const int n = 50000;
   for (int i = 0; i < n; ++i) {
-    const Bytes s = model.sample(rng);
+    const Bytes s = model.sample(rng, large);
     if (s < 16_KiB) ++small;
     if (s >= 1_MB && s % 1_MB == 0) ++mb_multiple;
   }
