@@ -17,16 +17,11 @@
 // the entire incremental phase — consume plus queries — moves the
 // namespace walk counter by zero.
 //
-// Modes (mirrors bench_fsck):
-//   --spider-json=PATH   write the machine-readable report (BENCH_changelog.json)
-//   --baseline=FILE      gate scan/incremental throughput against a
-//                        checked-in report (ci/bench-baseline-changelog.json)
-//                        at a 0.60x noise floor
-//   --smoke              seconds-long run sized for CI
-#include <chrono>
+// Flags and gate: bench::GatedRun. The report defaults to
+// BENCH_changelog.json; ci/bench-baseline-changelog.json gates scan and
+// incremental throughput.
 #include <cstdio>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "bench_util.hpp"
@@ -38,12 +33,6 @@
 namespace {
 
 using namespace spider;
-
-using Clock = std::chrono::steady_clock;  // spiderlint: nondet-ok
-
-double seconds_since(Clock::time_point start) {
-  return std::chrono::duration<double>(Clock::now() - start).count();
-}
 
 /// Untimed consume epochs run before the measured loop in both modes.
 constexpr std::size_t kWarmupEpochs = 8;
@@ -96,40 +85,14 @@ void churn_op(fs::FsNamespace& ns, std::vector<fs::FileId>& pool,
   }
 }
 
-int run_bench(const std::string& json_path, const std::string& baseline_path,
-              bool smoke) {
+int run_bench(bench::GatedRun& run) {
   const ChangelogBenchConfig cfg =
-      smoke ? smoke_config() : ChangelogBenchConfig{};
+      run.smoke() ? smoke_config() : ChangelogBenchConfig{};
 
   bench::banner("changelog accounting: incremental vs scan epoch cost");
 
-  bench::JsonReport report("changelog", smoke ? "smoke" : "full");
-  bench::ShapeChecker checker;
-
-  std::string baseline_text;
-  if (!baseline_path.empty() &&
-      !bench::read_text_file(baseline_path, baseline_text)) {
-    std::fprintf(stderr, "bench: cannot read baseline '%s'\n",
-                 baseline_path.c_str());
-    return 1;
-  }
-  const auto gate = [&](const std::string& name, const char* metric,
-                        double measured) {
-    if (baseline_text.empty()) return;
-    double base = 0.0;
-    if (!bench::json_number(baseline_text, name, metric, base)) {
-      checker.check(false, name + ": baseline entry present");
-      return;
-    }
-    const double ratio = base > 0.0 ? measured / base : 0.0;
-    report.add(name, std::string("baseline_") + metric, base);
-    report.add(name, "vs_baseline", ratio);
-    char label[160];
-    std::snprintf(label, sizeof(label),
-                  "%s: %.2fx of baseline %.0f %s (floor 0.60x)", name.c_str(),
-                  ratio, base, metric);
-    checker.check(ratio >= 0.6, label);
-  };
+  bench::JsonReport& report = run.report();
+  bench::ShapeChecker& checker = run.checker();
 
   for (const std::size_t files : cfg.sizes) {
     char suffix[32];
@@ -149,11 +112,11 @@ int run_bench(const std::string& json_path, const std::string& baseline_path,
     const std::size_t scan_reps =
         cfg.target_files >= files ? cfg.target_files / files : 1;
     tools::LustreDu scan_tool;
-    const Clock::time_point scan_start = Clock::now();  // spiderlint: nondet-ok
+    const bench::Clock::time_point scan_start = bench::Clock::now();
     for (std::size_t r = 0; r < scan_reps; ++r) {
       scan_tool.daily_scan(ns, static_cast<sim::SimTime>(r));
     }
-    const double scan_s = seconds_since(scan_start);
+    const double scan_s = bench::seconds_since(scan_start);
     const double scan_files_per_sec =
         scan_s > 0.0
             ? static_cast<double>(files * scan_reps) / scan_s
@@ -170,10 +133,9 @@ int run_bench(const std::string& json_path, const std::string& baseline_path,
 
     // --- full-history replay (the crash-recovery path) --------------------
     fs::ChangelogAccounting acct;
-    const Clock::time_point rebuild_start =
-        Clock::now();  // spiderlint: nondet-ok
+    const bench::Clock::time_point rebuild_start = bench::Clock::now();
     const fs::ConsumeResult seeded = acct.rebuild(log);
-    const double rebuild_s = seconds_since(rebuild_start);
+    const double rebuild_s = bench::seconds_since(rebuild_start);
     const double rebuild_rps =
         rebuild_s > 0.0 ? static_cast<double>(seeded.applied) / rebuild_s : 0.0;
     report.add(std::string("rebuild_") + suffix, "records_per_sec",
@@ -189,7 +151,7 @@ int run_bench(const std::string& json_path, const std::string& baseline_path,
     sim::SimTime now = static_cast<sim::SimTime>(2 * files) * sim::kSecond;
     // Untimed warmup epochs: a consume epoch is microseconds of work, so
     // first-touch and branch-training costs would otherwise dominate short
-    // (smoke) runs and make the 0.60x gate flap.
+    // (smoke) runs and make the baseline gate flap.
     for (std::size_t e = 0; e < kWarmupEpochs; ++e) {
       for (std::size_t op = 0; op < cfg.delta_ops; ++op) {
         now += sim::kSecond;
@@ -208,10 +170,10 @@ int run_bench(const std::string& json_path, const std::string& baseline_path,
         churn_op(ns, pool, now, rng);
       }
       log.commit(log.last_txid());
-      const Clock::time_point start = Clock::now();  // spiderlint: nondet-ok
+      const bench::Clock::time_point start = bench::Clock::now();
       const fs::ConsumeResult res = acct.consume(log);
       for (std::uint32_t p = 0; p < 4; ++p) queried += acct.bytes_of(p);
-      consume_s += seconds_since(start);
+      consume_s += bench::seconds_since(start);
       consumed += res.applied;
     }
     const std::uint64_t query_walks = ns.full_walks() - walks_before;
@@ -256,38 +218,17 @@ int run_bench(const std::string& json_path, const std::string& baseline_path,
                       " files: incremental table matches full-history replay");
     (void)queried;
 
-    gate(std::string("scan_") + suffix, "files_per_sec", scan_files_per_sec);
-    gate(std::string("incremental_") + suffix, "records_per_sec", inc_rps);
+    run.gate(std::string("scan_") + suffix, "files_per_sec",
+             scan_files_per_sec);
+    run.gate(std::string("incremental_") + suffix, "records_per_sec", inc_rps);
   }
-
-  if (!json_path.empty()) {
-    if (!report.write_file(json_path)) return 1;
-    std::printf("wrote %s\n", json_path.c_str());
-  }
-  return checker.exit_code();
+  return run.finish();
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::string json_path = "BENCH_changelog.json";
-  std::string baseline_path;
-  bool smoke = false;
-  for (int i = 1; i < argc; ++i) {
-    const std::string_view arg = argv[i];
-    if (arg.starts_with("--spider-json=")) {
-      json_path = std::string(arg.substr(14));
-    } else if (arg.starts_with("--baseline=")) {
-      baseline_path = std::string(arg.substr(11));
-    } else if (arg == "--smoke") {
-      smoke = true;
-    } else {
-      std::fprintf(stderr,
-                   "usage: %s [--spider-json=PATH] [--baseline=FILE] "
-                   "[--smoke]\n",
-                   argv[0]);
-      return 2;
-    }
-  }
-  return run_bench(json_path, baseline_path, smoke);
+  bench::GatedRun run("changelog", "BENCH_changelog.json");
+  if (const int rc = run.parse(argc, argv)) return rc;
+  return run_bench(run);
 }

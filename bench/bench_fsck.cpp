@@ -6,15 +6,10 @@
 // pass runs once per size as a shape check (repair wall time is reported,
 // not gated).
 //
-// Modes (mirrors bench_macro_scale):
-//   --spider-json=PATH   write the machine-readable report (BENCH_fsck.json)
-//   --baseline=FILE      gate serial slots/sec against a checked-in report
-//                        (ci/bench-baseline-fsck.json) at a 0.60x noise floor
-//   --smoke              seconds-long run sized for CI
-#include <chrono>
+// Flags and gate: bench::GatedRun. The report defaults to BENCH_fsck.json;
+// ci/bench-baseline-fsck.json gates serial slots/sec.
 #include <cstdio>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "bench_util.hpp"
@@ -24,12 +19,6 @@
 namespace {
 
 using namespace spider;
-
-using Clock = std::chrono::steady_clock;  // spiderlint: nondet-ok
-
-double seconds_since(Clock::time_point start) {
-  return std::chrono::duration<double>(Clock::now() - start).count();
-}
 
 struct FsckRunConfig {
   std::vector<std::size_t> sizes{4096, 16384, 65536};
@@ -58,31 +47,22 @@ struct FsckRun {
 FsckRun run_point(tools::SyntheticFs& fs, std::size_t slots, std::size_t reps) {
   FsckRun out;
   out.reps = reps;
-  const Clock::time_point start = Clock::now();  // spiderlint: nondet-ok
+  const bench::Clock::time_point start = bench::Clock::now();
   for (std::size_t r = 0; r < reps; ++r) tools::run_fsck(fs.target());
-  out.elapsed_s = seconds_since(start);
+  out.elapsed_s = bench::seconds_since(start);
   const double scanned =
       static_cast<double>(slots) * static_cast<double>(reps);
   out.slots_per_sec = out.elapsed_s > 0.0 ? scanned / out.elapsed_s : 0.0;
   return out;
 }
 
-int run_bench(const std::string& json_path, const std::string& baseline_path,
-              bool smoke) {
-  const FsckRunConfig cfg = smoke ? smoke_config() : FsckRunConfig{};
+int run_bench(bench::GatedRun& run) {
+  const FsckRunConfig cfg = run.smoke() ? smoke_config() : FsckRunConfig{};
 
   bench::banner("spiderfsck scan throughput (slots/sec)");
 
-  bench::JsonReport report("fsck", smoke ? "smoke" : "full");
-  bench::ShapeChecker checker;
-
-  std::string baseline_text;
-  if (!baseline_path.empty() &&
-      !bench::read_text_file(baseline_path, baseline_text)) {
-    std::fprintf(stderr, "bench: cannot read baseline '%s'\n",
-                 baseline_path.c_str());
-    return 1;
-  }
+  bench::JsonReport& report = run.report();
+  bench::ShapeChecker& checker = run.checker();
 
   const auto add = [&report](const std::string& name, const FsckRun& r) {
     report.add(name, "slots_per_sec", r.slots_per_sec);
@@ -90,22 +70,6 @@ int run_bench(const std::string& json_path, const std::string& baseline_path,
     report.add(name, "reps", static_cast<double>(r.reps));
     std::printf("  %-16s %12.0f slots/sec  (%zu reps in %.3fs)\n",
                 name.c_str(), r.slots_per_sec, r.reps, r.elapsed_s);
-  };
-  const auto gate = [&](const std::string& name, const FsckRun& r) {
-    if (baseline_text.empty()) return;
-    double base = 0.0;
-    if (!bench::json_number(baseline_text, name, "slots_per_sec", base)) {
-      checker.check(false, name + ": baseline entry present");
-      return;
-    }
-    const double ratio = base > 0.0 ? r.slots_per_sec / base : 0.0;
-    report.add(name, "baseline_slots_per_sec", base);
-    report.add(name, "vs_baseline", ratio);
-    char label[160];
-    std::snprintf(label, sizeof(label),
-                  "%s: %.2fx of baseline %.0f slots/sec (floor 0.60x)",
-                  name.c_str(), ratio, base);
-    checker.check(ratio >= 0.6, label);
   };
 
   for (const std::size_t files : cfg.sizes) {
@@ -132,10 +96,10 @@ int run_bench(const std::string& json_path, const std::string& baseline_path,
       }
       tools::FsckOptions repair_opts;
       repair_opts.repair = true;
-      const Clock::time_point start = Clock::now();  // spiderlint: nondet-ok
+      const bench::Clock::time_point start = bench::Clock::now();
       const tools::FsckReport repaired =
           tools::run_fsck(fs.target(), repair_opts);
-      const double repair_s = seconds_since(start);
+      const double repair_s = bench::seconds_since(start);
       report.add(std::string("repair_") + suffix, "elapsed_s", repair_s);
       report.add(std::string("repair_") + suffix, "findings",
                  static_cast<double>(repaired.findings.size()));
@@ -147,37 +111,16 @@ int run_bench(const std::string& json_path, const std::string& baseline_path,
       checker.check(!repaired.clean() && converged, label);
     }
 
-    gate(std::string("serial_") + suffix, serial);
+    run.gate(std::string("serial_") + suffix, "slots_per_sec",
+             serial.slots_per_sec);
   }
-
-  if (!json_path.empty()) {
-    if (!report.write_file(json_path)) return 1;
-    std::printf("wrote %s\n", json_path.c_str());
-  }
-  return checker.exit_code();
+  return run.finish();
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::string json_path = "BENCH_fsck.json";
-  std::string baseline_path;
-  bool smoke = false;
-  for (int i = 1; i < argc; ++i) {
-    const std::string_view arg = argv[i];
-    if (arg.starts_with("--spider-json=")) {
-      json_path = std::string(arg.substr(14));
-    } else if (arg.starts_with("--baseline=")) {
-      baseline_path = std::string(arg.substr(11));
-    } else if (arg == "--smoke") {
-      smoke = true;
-    } else {
-      std::fprintf(stderr,
-                   "usage: %s [--spider-json=PATH] [--baseline=FILE] "
-                   "[--smoke]\n",
-                   argv[0]);
-      return 2;
-    }
-  }
-  return run_bench(json_path, baseline_path, smoke);
+  bench::GatedRun run("fsck", "BENCH_fsck.json");
+  if (const int rc = run.parse(argc, argv)) return rc;
+  return run_bench(run);
 }

@@ -9,15 +9,10 @@
 // renders byte-identical JSON to the serial pass — the speedup compares the
 // same analysis, not two different ones.
 //
-// Modes (mirrors bench_fsck):
-//   --spider-json=PATH   write the machine-readable report (BENCH_lint.json)
-//   --baseline=FILE      gate serial files/sec against a checked-in report
-//                        (ci/bench-baseline-lint.json) at a 0.60x noise floor
-//   --smoke              seconds-long run sized for CI
-#include <chrono>
+// Flags and gate: bench::GatedRun. The report defaults to BENCH_lint.json;
+// ci/bench-baseline-lint.json gates serial files/sec.
 #include <cstdio>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "bench_util.hpp"
@@ -32,12 +27,6 @@ namespace {
 
 using namespace spider::lint;
 namespace bench = spider::bench;
-
-using Clock = std::chrono::steady_clock;  // spiderlint: nondet-ok
-
-double seconds_since(Clock::time_point start) {
-  return std::chrono::duration<double>(Clock::now() - start).count();
-}
 
 struct LintRun {
   double files_per_sec = 0.0;
@@ -59,12 +48,12 @@ LintRun run_point(const std::vector<std::string>& paths, std::size_t reps,
   opts.jobs = jobs;
   LintRun out;
   LintReport last;
-  const Clock::time_point start = Clock::now();  // spiderlint: nondet-ok
+  const bench::Clock::time_point start = bench::Clock::now();
   for (std::size_t r = 0; r < reps; ++r) {
     std::vector<std::string> errors;
     last = lint_paths(paths, opts, errors);
   }
-  out.elapsed_s = seconds_since(start);
+  out.elapsed_s = bench::seconds_since(start);
   out.files = last.files_scanned;
   out.findings = last.findings.size();
   out.scan_ms = last.scan_ms;
@@ -77,25 +66,16 @@ LintRun run_point(const std::vector<std::string>& paths, std::size_t reps,
   return out;
 }
 
-int run_bench(const std::string& json_path, const std::string& baseline_path,
-              bool smoke) {
-  const std::size_t reps = smoke ? 1 : 3;
+int run_bench(bench::GatedRun& run) {
+  const std::size_t reps = run.smoke() ? 1 : 3;
   const std::string root = SPIDER_LINT_TREE_ROOT;
   const std::vector<std::string> paths{root + "/src", root + "/tests",
                                        root + "/bench"};
 
   bench::banner("spiderlint whole-tree wall time (files/sec)");
 
-  bench::JsonReport report("lint", smoke ? "smoke" : "full");
-  bench::ShapeChecker checker;
-
-  std::string baseline_text;
-  if (!baseline_path.empty() &&
-      !bench::read_text_file(baseline_path, baseline_text)) {
-    std::fprintf(stderr, "bench: cannot read baseline '%s'\n",
-                 baseline_path.c_str());
-    return 1;
-  }
+  bench::JsonReport& report = run.report();
+  bench::ShapeChecker& checker = run.checker();
 
   const auto add = [&report](const std::string& name, const LintRun& r) {
     report.add(name, "files_per_sec", r.files_per_sec);
@@ -128,50 +108,14 @@ int run_bench(const std::string& json_path, const std::string& baseline_path,
   report.add("speedup", "vs_serial", speedup);
   std::printf("  %-10s %10.2fx parallel speedup\n", "speedup", speedup);
 
-  if (!baseline_text.empty()) {
-    double base = 0.0;
-    if (!bench::json_number(baseline_text, "serial", "files_per_sec", base)) {
-      checker.check(false, "serial: baseline entry present");
-    } else {
-      const double ratio = base > 0.0 ? serial.files_per_sec / base : 0.0;
-      report.add("serial", "baseline_files_per_sec", base);
-      report.add("serial", "vs_baseline", ratio);
-      char label[160];
-      std::snprintf(label, sizeof(label),
-                    "serial: %.2fx of baseline %.0f files/sec (floor 0.60x)",
-                    ratio, base);
-      checker.check(ratio >= 0.6, label);
-    }
-  }
-
-  if (!json_path.empty()) {
-    if (!report.write_file(json_path)) return 1;
-    std::printf("wrote %s\n", json_path.c_str());
-  }
-  return checker.exit_code();
+  run.gate("serial", "files_per_sec", serial.files_per_sec);
+  return run.finish();
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::string json_path = "BENCH_lint.json";
-  std::string baseline_path;
-  bool smoke = false;
-  for (int i = 1; i < argc; ++i) {
-    const std::string_view arg = argv[i];
-    if (arg.starts_with("--spider-json=")) {
-      json_path = std::string(arg.substr(14));
-    } else if (arg.starts_with("--baseline=")) {
-      baseline_path = std::string(arg.substr(11));
-    } else if (arg == "--smoke") {
-      smoke = true;
-    } else {
-      std::fprintf(stderr,
-                   "usage: %s [--spider-json=PATH] [--baseline=FILE] "
-                   "[--smoke]\n",
-                   argv[0]);
-      return 2;
-    }
-  }
-  return run_bench(json_path, baseline_path, smoke);
+  bench::GatedRun run("lint", "BENCH_lint.json");
+  if (const int rc = run.parse(argc, argv)) return rc;
+  return run_bench(run);
 }

@@ -9,22 +9,16 @@
 // events/sec ratio is therefore a true parallel speedup, not two different
 // simulations.
 //
-// Modes (mirrors bench_micro_engine):
-//   --spider-json=PATH   write the machine-readable report (BENCH_scale.json)
-//   --baseline=FILE      gate serial-schedule events/sec against a checked-in
-//                        report (ci/bench-baseline-scale.json) at a 0.60x
-//                        noise floor
-//   --smoke              seconds-long run sized for CI
+// Flags and gate: bench::GatedRun. The report defaults to BENCH_scale.json;
+// ci/bench-baseline-scale.json gates serial-schedule events/sec.
 //
 // The >=2x speedup claim is only assertable where >=4 epoch lanes exist
 // (shared_pool().size() + 1 >= 4) and the run is not a smoke run; on narrower
 // machines the ratio is reported but not gated, so single-core CI stays green
 // while a real parallel collapse still fails where it can be seen.
 #include <algorithm>
-#include <chrono>
 #include <cstdio>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "bench_util.hpp"
@@ -37,12 +31,6 @@
 namespace {
 
 using namespace spider;
-
-using Clock = std::chrono::steady_clock;  // spiderlint: nondet-ok
-
-double seconds_since(Clock::time_point start) {
-  return std::chrono::duration<double>(Clock::now() - start).count();
-}
 
 constexpr std::size_t kShards = 8;
 
@@ -88,10 +76,10 @@ ScaleRun run_scale(const ScaleRunConfig& cfg, double scale, std::size_t shards,
   core::ScaleScenario scenario(params, fabric, engine, map);
   scenario.start();
 
-  const Clock::time_point start = Clock::now();  // spiderlint: nondet-ok
+  const bench::Clock::time_point start = bench::Clock::now();
   const std::uint64_t ran = engine.run(cfg.horizon);
   ScaleRun out;
-  out.elapsed_s = seconds_since(start);
+  out.elapsed_s = bench::seconds_since(start);
   out.events = static_cast<double>(ran);
   out.events_per_sec = out.elapsed_s > 0.0 ? out.events / out.elapsed_s : 0.0;
   out.merged_hash = replay.merged_hash();
@@ -99,8 +87,8 @@ ScaleRun run_scale(const ScaleRunConfig& cfg, double scale, std::size_t shards,
   return out;
 }
 
-int run_bench(const std::string& json_path, const std::string& baseline_path,
-              bool smoke) {
+int run_bench(bench::GatedRun& run) {
+  const bool smoke = run.smoke();
   const ScaleRunConfig cfg = smoke ? smoke_config() : ScaleRunConfig{};
   const std::size_t lanes = std::min(kShards, shared_pool().size() + 1);
 
@@ -109,8 +97,8 @@ int run_bench(const std::string& json_path, const std::string& baseline_path,
               kShards, lanes,
               static_cast<double>(cfg.horizon) / 1e9);
 
-  bench::JsonReport report("macro_scale", smoke ? "smoke" : "full");
-  bench::ShapeChecker checker;
+  bench::JsonReport& report = run.report();
+  bench::ShapeChecker& checker = run.checker();
 
   const auto add = [&report](const std::string& name, const ScaleRun& r) {
     report.add(name, "events_per_sec", r.events_per_sec);
@@ -118,30 +106,6 @@ int run_bench(const std::string& json_path, const std::string& baseline_path,
     report.add(name, "elapsed_s", r.elapsed_s);
     std::printf("  %-14s %12.0f events/sec  (%.0f events in %.3fs)\n",
                 name.c_str(), r.events_per_sec, r.events, r.elapsed_s);
-  };
-
-  std::string baseline_text;
-  if (!baseline_path.empty() &&
-      !bench::read_text_file(baseline_path, baseline_text)) {
-    std::fprintf(stderr, "bench: cannot read baseline '%s'\n",
-                 baseline_path.c_str());
-    return 1;
-  }
-  const auto gate = [&](const std::string& name, const ScaleRun& r) {
-    if (baseline_text.empty()) return;
-    double base = 0.0;
-    if (!bench::json_number(baseline_text, name, "events_per_sec", base)) {
-      checker.check(false, name + ": baseline entry present");
-      return;
-    }
-    const double ratio = base > 0.0 ? r.events_per_sec / base : 0.0;
-    report.add(name, "baseline_events_per_sec", base);
-    report.add(name, "vs_baseline", ratio);
-    char label[160];
-    std::snprintf(label, sizeof(label),
-                  "%s: %.2fx of baseline %.0f events/sec (floor 0.60x)",
-                  name.c_str(), ratio, base);
-    checker.check(ratio >= 0.6, label);
   };
 
   // Epoch-machinery overhead reference: the same 1x workload collapsed onto
@@ -153,7 +117,7 @@ int run_bench(const std::string& json_path, const std::string& baseline_path,
     const ScaleRun single = run_scale(cfg, 1.0, 1, map1, 1);
     add("single_shard_1x", single);
     checker.check(single.events > 0, "single-shard run made forward progress");
-    gate("single_shard_1x", single);
+    run.gate("single_shard_1x", "events_per_sec", single.events_per_sec);
   }
 
   for (const double scale : cfg.scales) {
@@ -202,41 +166,20 @@ int run_bench(const std::string& json_path, const std::string& baseline_path,
     }
 
     // Only the serial schedule is gated against the checked-in baseline: its
-    // throughput is machine-width independent, so the 0.60x floor means the
+    // throughput is machine-width independent, so the gate floor means the
     // same thing everywhere. Sharded throughput is reported (and its >=2x
     // speedup asserted above where measurable) but not baseline-gated —
     // barrier overhead varies with lane count.
-    gate(std::string("serial_") + suffix, serial);
+    run.gate(std::string("serial_") + suffix, "events_per_sec",
+             serial.events_per_sec);
   }
-
-  if (!json_path.empty()) {
-    if (!report.write_file(json_path)) return 1;
-    std::printf("wrote %s\n", json_path.c_str());
-  }
-  return checker.exit_code();
+  return run.finish();
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::string json_path = "BENCH_scale.json";
-  std::string baseline_path;
-  bool smoke = false;
-  for (int i = 1; i < argc; ++i) {
-    const std::string_view arg = argv[i];
-    if (arg.starts_with("--spider-json=")) {
-      json_path = std::string(arg.substr(14));
-    } else if (arg.starts_with("--baseline=")) {
-      baseline_path = std::string(arg.substr(11));
-    } else if (arg == "--smoke") {
-      smoke = true;
-    } else {
-      std::fprintf(stderr,
-                   "usage: %s [--spider-json=PATH] [--baseline=FILE] "
-                   "[--smoke]\n",
-                   argv[0]);
-      return 2;
-    }
-  }
-  return run_bench(json_path, baseline_path, smoke);
+  bench::GatedRun run("macro_scale", "BENCH_scale.json");
+  if (const int rc = run.parse(argc, argv)) return rc;
+  return run_bench(run);
 }

@@ -8,17 +8,13 @@
 // Two modes:
 //   (default)              google-benchmark suite, usual benchmark flags.
 //   --spider-json=PATH     hand-rolled engine throughput loops (see
-//                          engine_measure.hpp) written as machine-readable
-//                          JSON to PATH. Add --smoke for a seconds-long run
-//                          sized for CI, and --baseline=FILE to shape-check
-//                          events/sec against a checked-in baseline report
-//                          (exit 1 on regression past the noise floor).
+//                          engine_measure.hpp) under bench::GatedRun, which
+//                          also takes --smoke and --baseline=FILE; other
+//                          flags go to google-benchmark.
 #include <benchmark/benchmark.h>
 
 #include <cstdio>
 #include <functional>
-#include <string>
-#include <string_view>
 #include <vector>
 
 #include "bench_util.hpp"
@@ -170,17 +166,11 @@ EngineRunConfig smoke_config() {
   return cfg;
 }
 
-/// Run the hand-rolled loops, write the JSON report, and shape-check the
-/// result (against `baseline_path` when given). The regression gate is
-/// deliberately loose — 0.6x of the recorded baseline — because CI machines
-/// are noisy and heterogeneous; the gate exists to catch engine-level
-/// collapses (an accidental per-event allocation, a serialized pool), not
-/// single-digit drift. Before/after comparisons for PR records should use
-/// the full mode on one quiet machine.
-int run_spider_json(const std::string& json_path,
-                    const std::string& baseline_path, bool smoke) {
+/// Run the hand-rolled loops, report them, and shape-check and gate the
+/// result.
+int run_spider_json(spider::bench::GatedRun& run) {
   using spider::bench::Measurement;
-  const EngineRunConfig cfg = smoke ? smoke_config() : EngineRunConfig{};
+  const EngineRunConfig cfg = run.smoke() ? smoke_config() : EngineRunConfig{};
 
   spider::bench::banner("engine throughput (events/sec)");
   const Measurement dispatch = spider::bench::measure_schedule_dispatch(
@@ -192,7 +182,7 @@ int run_spider_json(const std::string& json_path,
   const Measurement batches = spider::bench::measure_parallel_batches(
       cfg.batches, cfg.tasks_per_batch, cfg.batch_threads);
 
-  spider::bench::JsonReport report("engine_micro", smoke ? "smoke" : "full");
+  spider::bench::JsonReport& report = run.report();
   const auto add = [&report](const char* name, const Measurement& m) {
     report.add(name, "ops_per_sec", m.ops_per_sec);
     report.add(name, "ops", static_cast<double>(m.ops));
@@ -206,7 +196,7 @@ int run_spider_json(const std::string& json_path,
   add("observed_dispatch", observed);
   add("parallel_batches", batches);
 
-  spider::bench::ShapeChecker checker;
+  spider::bench::ShapeChecker& checker = run.checker();
   checker.check(dispatch.ops_per_sec > 0 && cancel.ops_per_sec > 0 &&
                     observed.ops_per_sec > 0 && batches.ops_per_sec > 0,
                 "all engine loops made forward progress");
@@ -216,61 +206,20 @@ int run_spider_json(const std::string& json_path,
   checker.check(cancel.ops_per_sec > dispatch.ops_per_sec,
                 "schedule+cancel churn outpaces full dispatch");
 
-  if (!baseline_path.empty()) {
-    std::string text;
-    if (!spider::bench::read_text_file(baseline_path, text)) {
-      std::fprintf(stderr, "bench: cannot read baseline '%s'\n",
-                   baseline_path.c_str());
-      return 1;
-    }
-    const auto gate = [&](const char* name, const Measurement& m) {
-      double base = 0.0;
-      if (!spider::bench::json_number(text, name, "ops_per_sec", base)) {
-        checker.check(false, std::string(name) + ": baseline entry present");
-        return;
-      }
-      const double ratio = m.ops_per_sec / base;
-      report.add(name, "baseline_ops_per_sec", base);
-      report.add(name, "vs_baseline", ratio);
-      char label[160];
-      std::snprintf(label, sizeof(label),
-                    "%s: %.2fx of baseline %.0f ops/sec (floor 0.60x)", name,
-                    ratio, base);
-      checker.check(ratio >= 0.6, label);
-    };
-    gate("schedule_dispatch", dispatch);
-    gate("schedule_cancel", cancel);
-    gate("observed_dispatch", observed);
-    gate("parallel_batches", batches);
-  }
-
-  if (!report.write_file(json_path)) return 1;
-  std::printf("wrote %s\n", json_path.c_str());
-  return checker.exit_code();
+  run.gate("schedule_dispatch", "ops_per_sec", dispatch.ops_per_sec);
+  run.gate("schedule_cancel", "ops_per_sec", cancel.ops_per_sec);
+  run.gate("observed_dispatch", "ops_per_sec", observed.ops_per_sec);
+  run.gate("parallel_batches", "ops_per_sec", batches.ops_per_sec);
+  return run.finish();
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::string json_path;
-  std::string baseline_path;
-  bool smoke = false;
+  spider::bench::GatedRun run("engine_micro", "");
   std::vector<char*> passthrough{argv[0]};
-  for (int i = 1; i < argc; ++i) {
-    const std::string_view arg = argv[i];
-    if (arg.rfind("--spider-json=", 0) == 0) {
-      json_path = arg.substr(14);
-    } else if (arg.rfind("--baseline=", 0) == 0) {
-      baseline_path = arg.substr(11);
-    } else if (arg == "--smoke") {
-      smoke = true;
-    } else {
-      passthrough.push_back(argv[i]);
-    }
-  }
-  if (!json_path.empty()) {
-    return run_spider_json(json_path, baseline_path, smoke);
-  }
+  if (const int rc = run.parse(argc, argv, &passthrough)) return rc;
+  if (!run.json_path().empty()) return run_spider_json(run);
 
   int pass_argc = static_cast<int>(passthrough.size());
   benchmark::Initialize(&pass_argc, passthrough.data());

@@ -4,16 +4,16 @@
 // Everything here uses only the stable public engine API (schedule_in / run /
 // cancel / ReplayRecorder::attach / parallel_for), so the exact same loops
 // can be compiled against two library revisions and the resulting
-// events-per-second numbers compared apples to apples. Wall-clock timing is
-// inherent to benchmarking; the nondet-ok suppressions below mark the one
-// place the repo legitimately reads a real clock.
+// events-per-second numbers compared apples to apples. Besides those engine
+// headers it includes only bench_util.hpp, which needs nothing but the
+// standard library.
 #pragma once
 
-#include <chrono>  // spiderlint: nondet-ok — benchmark timing only
 #include <cstddef>
 #include <cstdint>
 #include <vector>
 
+#include "bench_util.hpp"
 #include "common/parallel.hpp"
 #include "sim/event_queue.hpp"
 #include "sim/replay.hpp"
@@ -28,15 +28,14 @@ struct Measurement {
   double elapsed_s = 0.0;
 };
 
-namespace detail {
-
-using Clock = std::chrono::steady_clock;  // spiderlint: nondet-ok
-
-inline double seconds_since(Clock::time_point start) {
-  return std::chrono::duration<double>(Clock::now() - start).count();
+/// `ops` operations timed from `start` until now.
+inline Measurement measured(std::uint64_t ops, Clock::time_point start) {
+  Measurement m;
+  m.ops = ops;
+  m.elapsed_s = seconds_since(start);
+  m.ops_per_sec = static_cast<double>(m.ops) / m.elapsed_s;
+  return m;
 }
-
-}  // namespace detail
 
 /// schedule_in -> run dispatch throughput. Each event carries a 24-byte
 /// capture — representative of the flow-network and campaign callbacks that
@@ -47,7 +46,7 @@ inline Measurement measure_schedule_dispatch(std::size_t events_per_round,
                                              std::size_t rounds) {
   sim::Simulator sim;
   std::uint64_t sink = 0;
-  const auto start = detail::Clock::now();
+  const auto start = Clock::now();
   std::uint64_t dispatched = 0;
   for (std::size_t r = 0; r < rounds; ++r) {
     for (std::size_t i = 0; i < events_per_round; ++i) {
@@ -58,11 +57,7 @@ inline Measurement measure_schedule_dispatch(std::size_t events_per_round,
     }
     dispatched += sim.run();
   }
-  Measurement m;
-  m.ops = dispatched + (sink & 1);  // keep `sink` observable
-  m.elapsed_s = detail::seconds_since(start);
-  m.ops_per_sec = static_cast<double>(m.ops) / m.elapsed_s;
-  return m;
+  return measured(dispatched + (sink & 1), start);  // keep `sink` observable
 }
 
 /// schedule -> cancel churn on the raw queue: the flow network's
@@ -73,18 +68,14 @@ inline Measurement measure_schedule_cancel(std::size_t pairs_per_round,
   // One live far-future anchor so the queue is never empty.
   q.schedule(1, [] {});
   std::vector<sim::EventId> ids(pairs_per_round);
-  const auto start = detail::Clock::now();
+  const auto start = Clock::now();
   for (std::size_t r = 0; r < rounds; ++r) {
     for (std::size_t i = 0; i < pairs_per_round; ++i) {
       ids[i] = q.schedule(static_cast<sim::SimTime>(1'000'000 + i), [] {});
     }
     for (std::size_t i = 0; i < pairs_per_round; ++i) q.cancel(ids[i]);
   }
-  Measurement m;
-  m.ops = static_cast<std::uint64_t>(pairs_per_round) * rounds;
-  m.elapsed_s = detail::seconds_since(start);
-  m.ops_per_sec = static_cast<double>(m.ops) / m.elapsed_s;
-  return m;
+  return measured(static_cast<std::uint64_t>(pairs_per_round) * rounds, start);
 }
 
 /// Dispatch throughput with a ReplayRecorder observing every event — what a
@@ -93,7 +84,7 @@ inline Measurement measure_observed_dispatch(std::size_t events_per_round,
                                              std::size_t rounds) {
   std::uint64_t dispatched = 0;
   std::uint64_t sink = 0;
-  const auto start = detail::Clock::now();
+  const auto start = Clock::now();
   for (std::size_t r = 0; r < rounds; ++r) {
     sim::Simulator sim;
     sim::ReplayRecorder recorder;
@@ -105,11 +96,7 @@ inline Measurement measure_observed_dispatch(std::size_t events_per_round,
     }
     dispatched += sim.run();
   }
-  Measurement m;
-  m.ops = dispatched + (sink & 1);
-  m.elapsed_s = detail::seconds_since(start);
-  m.ops_per_sec = static_cast<double>(m.ops) / m.elapsed_s;
-  return m;
+  return measured(dispatched + (sink & 1), start);
 }
 
 /// parallel_for fan-out latency: many small batches, the sweep-bench shape.
@@ -119,18 +106,14 @@ inline Measurement measure_parallel_batches(std::size_t batches,
                                             std::size_t tasks_per_batch,
                                             std::size_t threads) {
   std::vector<std::uint64_t> out(tasks_per_batch, 0);
-  const auto start = detail::Clock::now();
+  const auto start = Clock::now();
   for (std::size_t b = 0; b < batches; ++b) {
     parallel_for(
         tasks_per_batch,
         [&out, b](std::size_t i) { out[i] += b ^ i; },
         threads);
   }
-  Measurement m;
-  m.ops = batches;
-  m.elapsed_s = detail::seconds_since(start);
-  m.ops_per_sec = static_cast<double>(m.ops) / m.elapsed_s;
-  return m;
+  return measured(batches, start);
 }
 
 }  // namespace spider::bench

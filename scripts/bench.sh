@@ -1,12 +1,8 @@
 #!/usr/bin/env bash
-# Engine perf trajectory: build the engine benches in Release and write the
-# machine-readable throughput reports to the repo root, each gated against
-# its checked-in pre-PR baseline:
-#   bench_micro_engine -> BENCH_engine.json (ci/bench-baseline-engine.json)
-#   bench_macro_scale  -> BENCH_scale.json  (ci/bench-baseline-scale.json)
-#   bench_fsck         -> BENCH_fsck.json   (ci/bench-baseline-fsck.json)
-#   bench_changelog    -> BENCH_changelog.json (ci/bench-baseline-changelog.json)
-#   bench_lint         -> BENCH_lint.json   (ci/bench-baseline-lint.json)
+# Perf trajectory: build the gated benches in Release and write their
+# machine-readable reports to the repo root, each gated against its
+# checked-in baseline. Every entry of BENCHES is "<binary> <x>": the binary
+# writes BENCH_<x>.json, gated against ci/bench-baseline-<x>.json.
 #
 # Usage: scripts/bench.sh [--smoke] [build-dir]
 #   --smoke     seconds-long run sized for CI; full mode is the default and
@@ -14,11 +10,19 @@
 #   build-dir   defaults to build-bench/ (kept separate from build/ so a
 #               sanitizer or Debug tree never pollutes perf numbers).
 #
-# Exit code is non-zero when any bench's shape check fails or a metric drops
-# below the 0.60x regression floor of its baseline.
+# Stops at the first bench whose shape check fails or whose metric drops
+# below the 0.60x regression floor of its baseline (docs/performance.md).
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
+
+BENCHES=(
+  "bench_micro_engine engine"
+  "bench_macro_scale scale"
+  "bench_fsck fsck"
+  "bench_changelog changelog"
+  "bench_lint lint"
+)
 
 SMOKE=""
 BUILD_DIR="build-bench"
@@ -33,35 +37,13 @@ done
 JOBS="$(nproc 2>/dev/null || echo 4)"
 echo "=== [bench] configure + build (Release) ==="
 cmake -B "${BUILD_DIR}" -S . -DCMAKE_BUILD_TYPE=Release
-cmake --build "${BUILD_DIR}" -j "${JOBS}" \
-    --target bench_micro_engine bench_macro_scale bench_fsck bench_changelog bench_lint
+cmake --build "${BUILD_DIR}" -j "${JOBS}" --target "${BENCHES[@]%% *}"
 
-echo "=== [bench] engine throughput ==="
-"${BUILD_DIR}/bench/bench_micro_engine" \
-    --spider-json=BENCH_engine.json \
-    --baseline=ci/bench-baseline-engine.json \
-    ${SMOKE}
-
-echo "=== [bench] macro-scale sharded engine ==="
-"${BUILD_DIR}/bench/bench_macro_scale" \
-    --spider-json=BENCH_scale.json \
-    --baseline=ci/bench-baseline-scale.json \
-    ${SMOKE}
-
-echo "=== [bench] spiderfsck scan throughput ==="
-"${BUILD_DIR}/bench/bench_fsck" \
-    --spider-json=BENCH_fsck.json \
-    --baseline=ci/bench-baseline-fsck.json \
-    ${SMOKE}
-
-echo "=== [bench] changelog incremental vs scan ==="
-"${BUILD_DIR}/bench/bench_changelog" \
-    --spider-json=BENCH_changelog.json \
-    --baseline=ci/bench-baseline-changelog.json \
-    ${SMOKE}
-
-echo "=== [bench] spiderlint whole-tree wall time ==="
-"${BUILD_DIR}/bench/bench_lint" \
-    --spider-json=BENCH_lint.json \
-    --baseline=ci/bench-baseline-lint.json \
-    ${SMOKE}
+for entry in "${BENCHES[@]}"; do
+  read -r bin x <<< "${entry}"
+  echo "=== [bench] ${bin} -> BENCH_${x}.json ==="
+  "${BUILD_DIR}/bench/${bin}" \
+      --spider-json="BENCH_${x}.json" \
+      --baseline="ci/bench-baseline-${x}.json" \
+      ${SMOKE}
+done

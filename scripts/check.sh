@@ -17,7 +17,7 @@
 # plus spiderfault --fsck over the smoke plans, docs/fsck.md), a
 # changelog-churn stage runs the billion-file churn -> crash -> replay ->
 # oracle loop under ASan (spiderfault --churn, docs/metadata-changelog.md),
-# and a bench-smoke stage runs the engine throughput loops against the
+# and a bench-smoke stage runs the five gated benches against their
 # checked-in baselines (scripts/bench.sh --smoke).
 #
 # Usage: scripts/check.sh [build-root]   (default: build-check/)
@@ -200,11 +200,11 @@ if ! grep -q '"crash_detected": true' "${BUILD_ROOT}/churn_crash.json" \
   exit 1
 fi
 
-# Engine throughput smoke: seconds-long loops, shape-checked against
-# ci/bench-baseline-engine.json (0.60x floor). Catches engine-level perf
-# collapses — an accidental per-event allocation, a serialized pool — not
-# single-digit drift; see docs/performance.md.
-echo "=== bench smoke (engine throughput vs baseline) ==="
+# Bench smoke: seconds-long runs of the five gated benches, each
+# shape-checked against its ci/bench-baseline-*.json (0.60x floor). Catches
+# perf collapses — an accidental per-event allocation, a serialized pool —
+# not single-digit drift; see docs/performance.md.
+echo "=== bench smoke (five gated benches vs ci/ baselines) ==="
 scripts/bench.sh --smoke "${BUILD_ROOT}/bench"
 
 echo "OK: sanitized suites passed, replay hashes and fault verdicts stable," \
