@@ -87,7 +87,10 @@ class ScaleScenario {
   static ScaleParams from_center(const CenterConfig& cfg, double scale);
 
  private:
-  struct Zone {
+  /// Every event of a zone draws from its Rng and bumps its totals, and
+  /// zones on different shards run on different lanes: each zone gets lines
+  /// of its own, or neighbouring zones' lanes contend for one.
+  struct alignas(sim::kLaneAlign) Zone {
     Rng rng;
     ScaleTotals totals;
   };

@@ -1,9 +1,12 @@
 #include "sim/sharded_sim.hpp"
 
 #include <algorithm>
-#include <condition_variable>
+#include <atomic>
+#include <barrier>
+#include <cstddef>
 #include <exception>
-#include <mutex>
+#include <latch>
+#include <memory>
 #include <sstream>
 #include <stdexcept>
 #include <utility>
@@ -16,6 +19,13 @@ namespace spider::sim {
 namespace {
 
 constexpr SimTime kInfiniteHorizon = std::numeric_limits<SimTime>::max();
+
+/// Helper lanes block on the epoch barrier inside pool workers for a whole
+/// run, so a second team at the same time — another engine run from a
+/// second thread, or from an event on lane 0 — could queue behind workers
+/// the first team holds and wait on it forever. One team at a time; a run
+/// that finds the team out runs serially instead, with the same stream.
+std::atomic<bool> team_out{false};
 
 }  // namespace
 
@@ -49,6 +59,26 @@ void ShardMap::reassign(std::size_t domain, ShardId shard) {
 
 // --- ShardedSimulator -------------------------------------------------------
 
+/// One run()'s lanes. Helper lanes share it through a shared_ptr, so the
+/// barrier and the join latch outlive the last helper's count_down even
+/// after run() has returned.
+struct ShardedSimulator::Team {
+  struct CloseEpoch {
+    ShardedSimulator* engine;
+    void operator()() noexcept { engine->close_epoch(); }
+  };
+
+  Team(ShardedSimulator& engine, std::size_t helpers)
+      : lanes(helpers + 1),
+        sync(static_cast<std::ptrdiff_t>(helpers + 1), CloseEpoch{&engine}),
+        joined(static_cast<std::ptrdiff_t>(helpers)) {}
+
+  std::size_t lanes;
+  std::barrier<CloseEpoch> sync;
+  /// Helper lanes that have not yet left run_lane.
+  std::latch joined;
+};
+
 ShardedSimulator::ShardedSimulator(std::size_t shards, ShardedConfig cfg)
     : cfg_(cfg) {
   if (shards == 0) {
@@ -57,25 +87,24 @@ ShardedSimulator::ShardedSimulator(std::size_t shards, ShardedConfig cfg)
   if (cfg_.lookahead <= 0) {
     throw std::invalid_argument("ShardedSimulator: lookahead must be positive");
   }
-  shards_.reserve(shards);
-  for (std::size_t s = 0; s < shards; ++s) {
-    shards_.push_back(std::make_unique<Simulator>());
+  shards_ = std::vector<Shard>(shards);
+  for (Shard& sh : shards_) {
+    for (Outbox& out : sh.out) out.rows.resize(shards);
   }
-  outbox_.resize(shards * shards);
 }
 
 Simulator& ShardedSimulator::shard(ShardId s) {
   if (s >= shards_.size()) {
     throw std::out_of_range("ShardedSimulator::shard: index out of range");
   }
-  return *shards_[s];
+  return shards_[s].sim;
 }
 
 const Simulator& ShardedSimulator::shard(ShardId s) const {
   if (s >= shards_.size()) {
     throw std::out_of_range("ShardedSimulator::shard: index out of range");
   }
-  return *shards_[s];
+  return shards_[s].sim;
 }
 
 void ShardedSimulator::schedule_cross(ShardId from, ShardId to, SimTime when,
@@ -97,127 +126,155 @@ void ShardedSimulator::schedule_cross(ShardId from, ShardId to, SimTime when,
     throw std::logic_error(msg.str());
   }
   // Only the lane currently executing shard `from` (or the caller outside a
-  // run) touches this cell, so the mailbox write needs no lock.
-  outbox_[from * s + to].push_back(CrossMsg{when, std::move(fn), site_hash(loc)});
-  cross_messages_.fetch_add(1, std::memory_order_relaxed);
+  // run) touches the sender's holder, so the mailbox write needs no lock.
+  Shard& sender = shards_[from];
+  Outbox& out = sender.out[write_parity_];
+  out.rows[to].push_back(CrossMsg{when, std::move(fn), site_hash(loc)});
+  out.earliest = std::min(out.earliest, when);
+  ++sender.sent;
 }
 
-void ShardedSimulator::drain_mailboxes() {
-  const std::size_t s = shards_.size();
-  // Canonical (destination, source shard, FIFO) order: target-local
-  // EventIds depend only on this order, never on which lane finished first.
-  for (std::size_t to = 0; to < s; ++to) {
-    for (std::size_t from = 0; from < s; ++from) {
-      std::vector<CrossMsg>& box = outbox_[from * s + to];
-      for (CrossMsg& msg : box) {
-        shards_[to]->schedule_sited(msg.when, std::move(msg.fn), msg.site);
-      }
-      box.clear();
+void ShardedSimulator::deliver(std::size_t to, unsigned parity) {
+  // Canonical (source shard, FIFO) order: target-local EventIds depend only
+  // on this order, never on which lane finished first.
+  Simulator& target = shards_[to].sim;
+  for (Shard& from : shards_) {
+    for (CrossMsg& msg : from.out[parity].rows[to]) {
+      target.schedule_sited(msg.when, std::move(msg.fn), msg.site);
     }
   }
 }
 
-std::uint64_t ShardedSimulator::run_epoch(SimTime h) {
-  const std::size_t s = shards_.size();
-  ThreadPool& pool = shared_pool();
-  std::size_t lanes = cfg_.workers == 0 ? pool.size() + 1 : cfg_.workers;
-  lanes = std::min({lanes, s, pool.size() + 1});
-  // Serial path: explicit request, nothing to parallelize, or a nested call
-  // from a pool worker (blocking on pinned lanes from inside the pool could
-  // starve — run inline, which is deterministic anyway).
-  if (lanes <= 1 || pool.on_worker_thread()) {
-    std::uint64_t ran = 0;
-    for (const auto& sh : shards_) ran += sh->run(h);
-    return ran;
+void ShardedSimulator::run_shard(std::size_t s) noexcept {
+  Shard& sh = shards_[s];
+  try {
+    // The write parity's rows were drained by their targets at the top of
+    // the previous epoch; the sender empties them before reuse, so only
+    // this lane ever writes the row headers.
+    sh.out[write_parity_].clear();
+    deliver(s, write_parity_ ^ 1u);
+    sh.sim.run(horizon_);
+  } catch (...) {
+    sh.error = std::current_exception();
   }
+}
 
-  std::vector<std::uint64_t> lane_ran(lanes, 0);
-  auto run_lane = [&](std::size_t lane) {
-    std::uint64_t ran = 0;
-    for (std::size_t i = lane; i < s; i += lanes) ran += shards_[i]->run(h);
-    lane_ran[lane] = ran;
-  };
+bool ShardedSimulator::plan_epoch() {
+  SimTime next = kInfiniteHorizon;
+  for (const Shard& sh : shards_) {
+    next = std::min({next, sh.sim.next_event_time(),
+                     sh.out[write_parity_].earliest});
+  }
+  if (next == kInfiniteHorizon || next > until_) return false;
+  // Conservative epoch [next, next + lookahead): every event inside is
+  // causally closed — a cross message sent from within cannot be due
+  // before the window ends. Starting at `next` skips dead time.
+  const SimTime epoch_end =
+      next > kInfiniteHorizon - cfg_.lookahead ? kInfiniteHorizon
+                                               : next + cfg_.lookahead;
+  horizon_ = std::min(epoch_end - 1, until_);
+  epoch_end_ = horizon_ + 1;
+  write_parity_ ^= 1u;
+  return true;
+}
 
-  // Per-epoch barrier over just these lanes. wait_idle() would also wait on
-  // unrelated shared-pool work; a private latch does not.
-  std::mutex mu;
-  std::condition_variable done;
-  std::size_t left = lanes - 1;
-  std::exception_ptr first_error;
-  for (std::size_t lane = 1; lane < lanes; ++lane) {
-    // Pin lane -> worker so the same shards hit the same OS thread (and its
-    // warm cache) on every epoch of the run.
-    pool.submit_to((lane - 1) % pool.size(), [&, lane] {
-      std::exception_ptr err;
-      try {
-        run_lane(lane);
-      } catch (...) {
-        err = std::current_exception();
-      }
-      std::lock_guard lock(mu);
-      if (err && !first_error) first_error = err;
-      if (--left == 0) done.notify_all();
+void ShardedSimulator::close_epoch() noexcept {
+  for (const Shard& sh : shards_) {
+    if (sh.error) {
+      done_ = true;
+      return;
+    }
+  }
+  ++epochs_;
+  done_ = !plan_epoch();
+}
+
+void ShardedSimulator::deliver_pending() {
+  for (std::size_t to = 0; to < shards_.size(); ++to) {
+    try {
+      deliver(to, write_parity_);
+    } catch (...) {
+      if (!shards_[to].error) shards_[to].error = std::current_exception();
+    }
+  }
+  for (Shard& sh : shards_) {
+    for (Outbox& out : sh.out) out.clear();
+  }
+}
+
+void ShardedSimulator::run_lane(Team& team, std::size_t lane) {
+  do {
+    for (std::size_t s = lane; s < shards_.size(); s += team.lanes) {
+      run_shard(s);
+    }
+    team.sync.arrive_and_wait();
+  } while (!done_);
+}
+
+void ShardedSimulator::run_team() {
+  ThreadPool& pool = shared_pool();
+  const std::size_t wanted = cfg_.workers == 0 ? pool.size() + 1 : cfg_.workers;
+  const std::size_t lanes = std::min({wanted, shards_.size(), pool.size() + 1});
+  // Run serially from a pool worker (nested in parallel_for, or in a helper
+  // lane) — blocking on pinned lanes from inside the pool could starve — and
+  // while another team is out.
+  const bool claimed = lanes > 1 && !pool.on_worker_thread() &&
+                       !team_out.exchange(true, std::memory_order_acquire);
+  const std::size_t helpers = claimed ? lanes - 1 : 0;
+  auto team = std::make_shared<Team>(*this, helpers);
+  done_ = false;
+  for (std::size_t lane = 1; lane <= helpers; ++lane) {
+    // One task per helper lane per run, pinned lane -> worker, so the same
+    // shards stay on the same OS thread for every epoch.
+    pool.submit_to(lane - 1, [this, team, lane] {
+      run_lane(*team, lane);
+      team->joined.count_down();
     });
   }
-
-  std::exception_ptr caller_error;
-  try {
-    run_lane(0);
-  } catch (...) {
-    caller_error = std::current_exception();
-  }
-  {
-    std::unique_lock lock(mu);
-    done.wait(lock, [&] { return left == 0; });
-    if (!caller_error && first_error) caller_error = first_error;
-  }
-  if (caller_error) std::rethrow_exception(caller_error);
-
-  std::uint64_t ran = 0;
-  for (const std::uint64_t r : lane_ran) ran += r;
-  return ran;
+  run_lane(*team, 0);
+  team->joined.wait();
+  if (claimed) team_out.store(false, std::memory_order_release);
 }
 
 std::uint64_t ShardedSimulator::run(SimTime until) {
-  std::uint64_t ran = 0;
-  for (;;) {
-    // Land messages queued before this round (setup code or the previous
-    // epoch) so they count toward the next-event scan.
-    drain_mailboxes();
-    SimTime next = kInfiniteHorizon;
-    for (const auto& sh : shards_) next = std::min(next, sh->next_event_time());
-    if (next == kInfiniteHorizon || next > until) break;
-    // Conservative epoch [next, next + lookahead): every event inside is
-    // causally closed — a cross message sent from within cannot be due
-    // before the window ends. Starting at `next` skips dead time.
-    const SimTime epoch_end =
-        next > kInfiniteHorizon - cfg_.lookahead ? kInfiniteHorizon
-                                                 : next + cfg_.lookahead;
-    const SimTime horizon = std::min(epoch_end - 1, until);
-    epoch_end_ = horizon + 1;
-    ran += run_epoch(horizon);
-    ++epochs_;
+  const std::uint64_t before = executed_events();
+  until_ = until;
+  if (plan_epoch()) run_team();
+  deliver_pending();
+  std::exception_ptr error;
+  for (Shard& sh : shards_) {
+    if (!error) error = sh.error;
+    sh.error = nullptr;
   }
+  if (error) std::rethrow_exception(error);
   // Uniform horizon semantics, mirroring Simulator::run: a finite `until`
   // lands every shard clock exactly on it, idle shards included.
   if (until != kInfiniteHorizon) {
-    for (const auto& sh : shards_) sh->run(until);
+    for (Shard& sh : shards_) sh.sim.run(until);
   }
-  return ran;
+  return executed_events() - before;
+}
+
+std::uint64_t ShardedSimulator::cross_messages() const {
+  std::uint64_t total = 0;
+  for (const Shard& sh : shards_) total += sh.sent;
+  return total;
 }
 
 std::uint64_t ShardedSimulator::executed_events() const {
   std::uint64_t total = 0;
-  for (const auto& sh : shards_) total += sh->executed_events();
+  for (const Shard& sh : shards_) total += sh.sim.executed_events();
   return total;
 }
 
 bool ShardedSimulator::idle() const {
-  for (const auto& sh : shards_) {
-    if (!sh->idle()) return false;
-  }
-  for (const auto& box : outbox_) {
-    if (!box.empty()) return false;
+  // Between runs only the write parity can hold mail: the run's last
+  // barrier delivered and emptied both.
+  for (const Shard& sh : shards_) {
+    if (!sh.sim.idle()) return false;
+    for (const std::vector<CrossMsg>& row : sh.out[write_parity_].rows) {
+      if (!row.empty()) return false;
+    }
   }
   return true;
 }
@@ -225,10 +282,9 @@ bool ShardedSimulator::idle() const {
 // --- ShardedReplay ----------------------------------------------------------
 
 ShardedReplay::ShardedReplay(ShardedSimulator& engine) {
-  recorders_.reserve(engine.shards());
-  for (std::size_t s = 0; s < engine.shards(); ++s) {
-    recorders_.push_back(std::make_unique<ReplayRecorder>());
-    recorders_.back()->attach(engine.shard(static_cast<ShardId>(s)));
+  recorders_ = std::vector<Slot>(engine.shards());
+  for (std::size_t s = 0; s < recorders_.size(); ++s) {
+    recorders_[s].recorder.attach(engine.shard(static_cast<ShardId>(s)));
   }
 }
 
@@ -236,7 +292,7 @@ std::vector<ShardedReplay::Record> ShardedReplay::merged() const {
   std::vector<Record> out;
   out.reserve(events_recorded());
   for (std::size_t s = 0; s < recorders_.size(); ++s) {
-    for (const ReplayRecorder::Record& r : recorders_[s]->records()) {
+    for (const ReplayRecorder::Record& r : recorders_[s].recorder.records()) {
       out.push_back(Record{r.when, static_cast<ShardId>(s), r.id, r.site});
     }
   }
@@ -280,7 +336,7 @@ std::uint64_t ShardedReplay::serial_equivalent_hash() const {
 
 std::size_t ShardedReplay::events_recorded() const {
   std::size_t n = 0;
-  for (const auto& r : recorders_) n += r->events_recorded();
+  for (const Slot& slot : recorders_) n += slot.recorder.events_recorded();
   return n;
 }
 

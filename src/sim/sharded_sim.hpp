@@ -7,23 +7,25 @@
 // events into per-shard `Simulator`s (one EventQueue, clock, and dense
 // EventId sequence each) and runs them in lockstep epochs:
 //
-//   epoch k covers [e_k, e_k + lookahead); every shard executes its local
-//   events inside the window, then all shards arrive at a barrier and the
-//   cross-shard mailboxes drain into the target queues.
+//   epoch k covers [e_k, e_k + lookahead); every shard first takes in the
+//   cross-shard mail sent to it during epoch k-1, then executes its local
+//   events inside the window, then all shards arrive at a barrier.
 //
 // The lookahead is the minimum cross-shard latency — a message sent during
 // an epoch cannot be due before the epoch ends, so shards never need to
 // roll back (classic conservative PDES; the torus/fabric models in src/net/
 // know the latency floors, see net/lookahead.hpp). Epochs skip dead time:
-// each round starts at the earliest pending event across all shards, so an
-// idle stretch costs one barrier, not lookahead-sized busywork.
+// each round starts at the earliest pending event or message across all
+// shards, so an idle stretch costs one barrier, not lookahead-sized
+// busywork.
 //
 // Determinism is by construction, to the same bar spiderfault --jobs=N set:
 //   * Each shard is a serial Simulator, so its local (time, id, site)
 //     stream is reproducible regardless of which pool worker ran it.
-//   * Mailboxes drain single-threaded at the barrier in canonical
-//     (destination, source shard, FIFO) order, so target-local EventIds
-//     never depend on lane interleaving.
+//   * A shard's inbound mail drains on its own lane before the shard runs,
+//     in canonical (source shard, FIFO) order, so target-local EventIds
+//     never depend on lane interleaving. The barrier that ends a run drains
+//     what is left serially, in the same order.
 //   * Epoch boundaries derive only from event times, the lookahead, and
 //     the horizon — not from the shard count — so running the same
 //     assignment on engines with more (empty) shards, or with any number
@@ -31,17 +33,20 @@
 //     *assignment* moves events between queues and legitimately changes
 //     the stream (pinned by the metamorphic tests).
 //
-// Worker mapping: shard s runs on lane s % lanes; lane 0 is the calling
-// thread and each helper lane is pinned to one shared_pool() worker
-// (ThreadPool::submit_to), so a shard's state stays cache-warm on the same
-// OS thread across every epoch of a run.
+// Lanes: shard s runs on lane s % lanes. Each run() forms one lane team:
+// lane 0 is the calling thread and each helper lane is one task pinned to a
+// shared_pool() worker (ThreadPool::submit_to) for the whole run, so a
+// shard's state stays cache-warm on one OS thread. Lanes meet at one
+// std::barrier per epoch; its completion step plans the next epoch. Each
+// shard's epoch-time state sits in its own kLaneAlign-aligned holder, so no
+// two shards' holders share a cache line (docs/parallel-engine.md).
 #pragma once
 
-#include <atomic>
+#include <array>
 #include <cstddef>
 #include <cstdint>
+#include <exception>
 #include <limits>
-#include <memory>
 #include <source_location>
 #include <vector>
 
@@ -53,6 +58,13 @@
 namespace spider::sim {
 
 using ShardId = std::uint32_t;
+
+/// Alignment of state that one lane writes during an epoch: two 64-byte
+/// lines, because x86's adjacent-line prefetcher moves lines in pairs, so
+/// state padded to one line still contends with its neighbour. Shard
+/// holders use it, and so does per-domain scenario state that events write
+/// (core::ScaleScenario's zones).
+inline constexpr std::size_t kLaneAlign = 128;
 
 /// Assignment of simulation domains (an Ssu, an FsNamespace, a FlowNetwork
 /// zone) to shards. Domains are dense indices so scenarios can address them
@@ -90,6 +102,10 @@ struct ShardedConfig {
 class ShardedSimulator {
  public:
   explicit ShardedSimulator(std::size_t shards, ShardedConfig cfg = {});
+  // Lane tasks, the barrier's completion step and scenarios hold the
+  // engine's address.
+  ShardedSimulator(const ShardedSimulator&) = delete;
+  ShardedSimulator& operator=(const ShardedSimulator&) = delete;
 
   std::size_t shards() const { return shards_.size(); }
   SimTime lookahead() const { return cfg_.lookahead; }
@@ -103,8 +119,8 @@ class ShardedSimulator {
 
   /// Send an event from shard `from` to shard `to`, due at absolute time
   /// `when`. Buffered in the (from, to) mailbox and transferred into the
-  /// target queue at the next epoch barrier, in canonical (destination,
-  /// source shard, FIFO) order. `when` must respect the lookahead contract:
+  /// target queue after the next epoch barrier, in canonical (source shard,
+  /// FIFO) order per target. `when` must respect the lookahead contract:
   /// at or after the current epoch's end. A violation throws
   /// std::logic_error naming the shard pair, both times, and the call site
   /// — the sharded-engine form of schedule_at's past-time diagnostic.
@@ -117,8 +133,15 @@ class ShardedSimulator {
   /// or `until` is passed. Horizon semantics match Simulator::run: events
   /// with time <= `until` execute, and with a finite `until` every shard
   /// clock lands exactly on it. Returns the number of events executed
-  /// across all shards. Rethrows the first exception any shard raised
-  /// (after the epoch's lanes quiesce).
+  /// across all shards. When events throw, every shard still finishes the
+  /// epoch, the run stops at its barrier, and run() rethrows the error of
+  /// the lowest-indexed failing shard — the same one at any lane count. The
+  /// engine stays usable: a later run() resumes from the queues as left.
+  ///
+  /// Events run inside the lane team and must not wait on shared-pool work:
+  /// the helper lanes hold their workers until the run ends. An engine
+  /// run() from inside an event runs serially, as does a run() while
+  /// another engine's team is out.
   std::uint64_t run(SimTime until = std::numeric_limits<SimTime>::max());
 
   /// First time at which a cross-shard message may currently land — the end
@@ -127,9 +150,7 @@ class ShardedSimulator {
   SimTime epoch_end() const { return epoch_end_; }
 
   std::uint64_t epochs() const { return epochs_; }
-  std::uint64_t cross_messages() const {
-    return cross_messages_.load(std::memory_order_relaxed);
-  }
+  std::uint64_t cross_messages() const;
   std::uint64_t executed_events() const;
   bool idle() const;
 
@@ -140,30 +161,67 @@ class ShardedSimulator {
     std::uint64_t site = 0;
   };
 
-  /// Transfer buffered mailbox messages into target queues, canonically
-  /// ordered. Single-threaded: only called between epochs.
-  void drain_mailboxes();
-  /// Execute every shard up to the inclusive horizon `h`, in parallel when
-  /// configured. Returns events executed; rethrows the first lane error.
-  std::uint64_t run_epoch(SimTime h);
+  /// The mail one shard sent during one epoch: a row per target shard, and
+  /// the earliest `when` among it for the next-event scan.
+  struct Outbox {
+    std::vector<std::vector<CrossMsg>> rows;
+    SimTime earliest = std::numeric_limits<SimTime>::max();
 
-  // unique_ptr: shard addresses must be stable — lanes hold references
-  // while the vector's buffer would otherwise move on growth. Each element
-  // is owned by its shard's lane during an epoch; only the single-threaded
-  // barrier code may reach across (spiderlint L9 enforces the closure side
-  // of this contract).
-  std::vector<std::unique_ptr<Simulator>> shards_ SPIDER_SHARD_OWNED(shard);
-  /// Cross-shard mailbox (from * S + to): appended by the sending shard's
-  /// events via schedule_cross, drained single-threaded at the barrier.
-  std::vector<std::vector<CrossMsg>> outbox_ SPIDER_SHARD_OWNED(barrier);
+    void clear() {
+      for (std::vector<CrossMsg>& row : rows) row.clear();
+      earliest = std::numeric_limits<SimTime>::max();
+    }
+  };
+
+  /// Everything a shard's lane writes during an epoch, on lines of its own.
+  struct alignas(kLaneAlign) Shard {
+    Simulator sim;
+    /// By epoch parity: events append to out[write_parity_] while target
+    /// lanes drain the other parity, which was written the epoch before.
+    std::array<Outbox, 2> out;
+    /// schedule_cross calls from this shard (summed by cross_messages()).
+    std::uint64_t sent = 0;
+    /// What this shard's events threw during the current run.
+    std::exception_ptr error;
+  };
+
+  /// The lanes of one run() and their barrier (sharded_sim.cpp).
+  struct Team;
+
+  /// Run epochs on a lane team until the completion step ends the run.
+  void run_team();
+  void run_lane(Team& team, std::size_t lane);
+  /// One shard's epoch: take in its mail, then run it to the horizon.
+  /// Errors land in the shard's holder.
+  void run_shard(std::size_t s) noexcept;
+  /// Schedule the mail addressed to shard `to` in every source's outbox of
+  /// `parity`, in canonical (source shard, FIFO) order.
+  void deliver(std::size_t to, unsigned parity);
+  /// Serial: find the next epoch and set horizon_/epoch_end_, flipping the
+  /// write parity. False when nothing is due by until_.
+  bool plan_epoch();
+  /// The barrier's completion step: count the epoch and plan the next, or
+  /// end the run on an error.
+  void close_epoch() noexcept;
+  /// Serial, after the last barrier: deliver the last epoch's mail and
+  /// empty both parities.
+  void deliver_pending();
+
+  // Shard addresses must be stable — lanes and replay recorders hold
+  // references — so the vector is sized once and never grows. Each holder
+  // is owned by its shard's lane during an epoch; only the serial barrier
+  // code and the draining target lanes reach across (spiderlint L9 enforces
+  // the closure side of this contract).
+  std::vector<Shard> shards_ SPIDER_SHARD_OWNED(shard);
   ShardedConfig cfg_;
+  SimTime until_ = 0;
+  SimTime horizon_ = 0;
   SimTime epoch_end_ = 0;
   std::uint64_t epochs_ = 0;
-  // Atomic: bumped by whichever lane is executing the sending shard's
-  // events, concurrently across lanes. The total is lane-order independent,
-  // so the stat stays deterministic; relaxed is enough for a counter read
-  // only after run() returns.
-  std::atomic<std::uint64_t> cross_messages_{0};
+  unsigned write_parity_ = 0;
+  /// Set by the completion step that ends the run; lanes read it after the
+  /// barrier.
+  bool done_ = false;
 };
 
 /// Replay observer fan-in: one ReplayRecorder per shard, merged into the
@@ -176,6 +234,9 @@ class ShardedReplay {
   /// Attaches a recorder to every shard, replacing prior observers. Must
   /// outlive the engine's runs.
   explicit ShardedReplay(ShardedSimulator& engine);
+  // The shards' observers hold the recorders' addresses.
+  ShardedReplay(const ShardedReplay&) = delete;
+  ShardedReplay& operator=(const ShardedReplay&) = delete;
 
   struct Record {
     SimTime when = 0;
@@ -199,13 +260,20 @@ class ShardedReplay {
   /// event_hash byte-for-byte.
   std::uint64_t serial_equivalent_hash() const;
 
-  const ReplayRecorder& recorder(ShardId s) const { return *recorders_[s]; }
+  const ReplayRecorder& recorder(ShardId s) const {
+    return recorders_[s].recorder;
+  }
   std::size_t events_recorded() const;
 
  private:
-  // unique_ptr: the simulator's observer is a non-owning FunctionRef bound
-  // to each recorder, so recorder addresses must be stable.
-  std::vector<std::unique_ptr<ReplayRecorder>> recorders_;
+  // Each simulator's observer is a non-owning FunctionRef bound to its
+  // recorder, so the vector is sized once and never grows. Each recorder is
+  // written on every event of its shard, by that shard's lane, so each gets
+  // lines of its own like the engine's shard holders.
+  struct alignas(kLaneAlign) Slot {
+    ReplayRecorder recorder;
+  };
+  std::vector<Slot> recorders_;
 };
 
 }  // namespace spider::sim

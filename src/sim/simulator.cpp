@@ -1,6 +1,8 @@
 #include "sim/simulator.hpp"
 
+#include <array>
 #include <cassert>
+#include <cstddef>
 #include <sstream>
 #include <stdexcept>
 
@@ -16,17 +18,46 @@ const char* source_basename(const char* path) {
   return name;
 }
 
-std::uint64_t site_hash(const std::source_location& loc) {
+namespace {
+
+std::uint64_t hash_site(const char* file, std::uint_least32_t line) {
   // FNV-1a over the file basename, then fold in the line. Hashing contents
   // (not the pointer) makes the value reproducible across runs and builds;
   // dropping the directory prefix makes it reproducible across *checkouts*,
   // so replay hashes can be compared between machines and CI.
-  const char* name = source_basename(loc.file_name());
+  const char* name = source_basename(file);
   std::uint64_t h = kFnvOffsetBasis;
   for (const char* p = name; *p; ++p) {
     h = fnv1a_step(h, static_cast<unsigned char>(*p));
   }
-  return fnv1a_step(h, loc.line());
+  return fnv1a_step(h, line);
+}
+
+}  // namespace
+
+std::uint64_t site_hash(const std::source_location& loc) {
+  // Every schedule call hashes its site, and re-walking the path was a
+  // quarter of a serial run's self time. file_name() points at a string
+  // literal, so (pointer, line) names a site for the whole process: memoise
+  // the hash per thread in a direct-mapped table. A miss (first use, or a
+  // slot taken by another site) recomputes the same value, so the table
+  // changes no hash, and being per thread it needs no lock.
+  struct Memo {
+    const char* file = nullptr;
+    std::uint_least32_t line = 0;
+    std::uint64_t hash = 0;
+  };
+  constexpr int kSlotBits = 6;
+  thread_local std::array<Memo, std::size_t{1} << kSlotBits> memo{};
+  const char* file = loc.file_name();
+  const std::uint_least32_t line = loc.line();
+  const std::uint64_t key =
+      (reinterpret_cast<std::uintptr_t>(file) ^ line) * 0x9e3779b97f4a7c15ull;
+  Memo& m = memo[key >> (64 - kSlotBits)];
+  if (m.file != file || m.line != line) {
+    m = Memo{file, line, hash_site(file, line)};
+  }
+  return m.hash;
 }
 
 EventId Simulator::schedule_at(SimTime when, EventFn fn, std::source_location loc) {

@@ -19,8 +19,10 @@ namespace spider::sim {
 /// must outlive the simulator's run.
 using EventObserver = FunctionRef<void(SimTime, EventId, std::uint64_t)>;
 
-/// Stable hash of a scheduling call site (file name + line), folded into the
-/// replay stream so a divergence names the code that scheduled the event.
+/// Stable hash of a scheduling call site (file basename + line), folded into
+/// the replay stream so a divergence names the code that scheduled the event.
+/// Memoised per thread on the file_name() pointer and the line; the value
+/// does not depend on the memo.
 std::uint64_t site_hash(const std::source_location& loc);
 
 /// The basename of a path, for checkout-independent diagnostics.

@@ -12,6 +12,7 @@
 #include <source_location>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -269,6 +270,129 @@ TEST(ShardedSim, ShardMapValidatesAndRoundRobins) {
   EXPECT_EQ(map.shard_of(7), 3u);
   EXPECT_THROW(map.shard_of(10), std::out_of_range);
   EXPECT_THROW(map.reassign(0, 4), std::out_of_range);
+}
+
+TEST(ShardedSim, LowestIndexedFailingShardIsRethrownAtAnyLaneCount) {
+  // Shards 1 and 3 throw in the same epoch. Every shard still finishes the
+  // epoch, the run stops at its barrier, and the error rethrown is shard
+  // 1's whichever lane ran it — repeated, because a lane race would show as
+  // an occasional "shard 3".
+  for (const std::size_t workers : {1u, 0u}) {
+    for (int rep = 0; rep < 10; ++rep) {
+      SCOPED_TRACE("workers=" + std::to_string(workers) +
+                   " rep=" + std::to_string(rep));
+      ShardedSimulator engine(4, ShardedConfig{kLookahead, workers});
+      std::vector<int> ran(4, 0);
+      for (ShardId s = 0; s < 4; ++s) {
+        sim::Simulator& sh = engine.shard(s);
+        sh.schedule_at(kMicrosecond, [&ran, s] {
+          ++ran[s];
+          if (s % 2 == 1) {
+            throw std::runtime_error("shard " + std::to_string(s));
+          }
+        });
+        sh.schedule_at(kMicrosecond + 1, [&ran, s] { ++ran[s]; });
+        sh.schedule_at(5 * kLookahead, [&ran, s] { ++ran[s]; });
+      }
+      try {
+        engine.run(sim::kMillisecond);
+        FAIL() << "expected the shards' errors to surface";
+      } catch (const std::runtime_error& e) {
+        EXPECT_STREQ(e.what(), "shard 1");
+      }
+      // The failing shards stopped at their throw; the others ran the whole
+      // epoch; no shard reached the later epoch.
+      EXPECT_EQ(ran, (std::vector<int>{2, 1, 2, 1}));
+      EXPECT_EQ(engine.executed_events(), 4u);
+
+      // The same engine runs on from the queues as the error left them.
+      EXPECT_EQ(engine.run(sim::kMillisecond), 6u);
+      EXPECT_EQ(ran, (std::vector<int>{3, 3, 3, 3}));
+      EXPECT_TRUE(engine.idle());
+    }
+  }
+}
+
+TEST(ShardedSim, SplitRunMatchesOneRun) {
+  // run(t1); run(t2) must stream exactly like run(t2). A metronome on shard
+  // 0 ticks at every multiple of the lookahead, so epochs are [k, k + 1)
+  // lookaheads long whatever else runs, and t1 closes epoch 2. In that
+  // epoch shard 2 gets mail due after t1 from shard 1 (MiniZones' zone 1 at
+  // 20 µs) and from shard 0 (the late message below). run(t1)'s closing
+  // barrier must land both in shard 2's queue, in the same canonical order
+  // the next epoch's lane would have used, or shard 2's ids differ.
+  const std::source_location loc = std::source_location::current();
+  const SimTime t1 = 3 * kLookahead - 1;
+  const SimTime t2 = sim::kMillisecond;
+  struct Outcome {
+    std::uint64_t hash = 0;
+    std::uint64_t events = 0;
+    std::size_t pending_at_t1 = 0;
+    bool late_ran = false;
+  };
+  for (const std::size_t workers : {1u, 0u}) {
+    SCOPED_TRACE("workers=" + std::to_string(workers));
+    const auto run = [&](bool split, bool late) {
+      ShardedSimulator engine(4, ShardedConfig{kLookahead, workers});
+      ShardedReplay replay(engine);
+      MiniZones zones(engine, ShardMap(8, 4));
+      zones.start(12, loc);
+      sim::Simulator& metronome = engine.shard(0);
+      for (SimTime at = 0; at <= 10 * kLookahead; at += kLookahead) {
+        metronome.schedule_at(at, [] {}, loc);
+      }
+      Outcome out;
+      const auto send_late = [&engine, &out, loc, t1] {
+        engine.schedule_cross(0, 2, t1 + kLookahead,
+                              [&out] { out.late_ran = true; }, loc);
+      };
+      if (late) metronome.schedule_at(t1 - kMicrosecond, send_late, loc);
+      if (split) {
+        out.events += engine.run(t1);
+        out.pending_at_t1 = engine.shard(2).pending_events();
+        EXPECT_FALSE(engine.idle());
+        EXPECT_FALSE(out.late_ran);
+      }
+      out.events += engine.run(t2);
+      out.hash = replay.merged_hash();
+      EXPECT_TRUE(engine.idle());
+      return out;
+    };
+    const Outcome whole = run(false, true);
+    const Outcome split = run(true, true);
+    EXPECT_TRUE(whole.late_ran);
+    EXPECT_TRUE(split.late_ran);
+    EXPECT_EQ(split.hash, whole.hash);
+    EXPECT_EQ(split.events, whole.events);
+    EXPECT_EQ(split.pending_at_t1, run(true, false).pending_at_t1 + 1);
+  }
+}
+
+TEST(ShardedSim, SecondTeamRunsSeriallyInsteadOfDeadlocking) {
+  // Helper lanes hold their pool workers for a whole run, so a run started
+  // while another team is out — from an event on lane 0, or from a second
+  // thread — must not wait on those workers. It runs serially; the stream
+  // is the same.
+  const std::size_t zones = 8;
+  const ShardMap map(zones, 4);
+  const std::uint64_t expected = run_mini(zones, map, 4, 1);
+
+  std::uint64_t nested = 0;
+  ShardedSimulator outer(2, ShardedConfig{kLookahead, 0});
+  outer.shard(0).schedule_at(kMicrosecond, sim::EventFn([&] {
+    nested = run_mini(zones, map, 4, 0);
+  }));
+  outer.shard(1).schedule_at(kMicrosecond, [] {});
+  outer.run(sim::kMillisecond);
+  EXPECT_EQ(nested, expected);
+
+  std::uint64_t side[2] = {0, 0};
+  std::thread a([&] { side[0] = run_mini(zones, map, 4, 0); });
+  std::thread b([&] { side[1] = run_mini(zones, map, 4, 0); });
+  a.join();
+  b.join();
+  EXPECT_EQ(side[0], expected);
+  EXPECT_EQ(side[1], expected);
 }
 
 TEST(ShardedSim, EpochsSkipDeadTime) {

@@ -1,8 +1,11 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <memory>
 #include <source_location>
+#include <string_view>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -306,6 +309,91 @@ TEST(Simulator, SiteHashIsStablePerLineAndDistinctAcrossLines) {
   EXPECT_NE(site_hash(here), site_hash(other_line));
 }
 
+// Defined at the end of this file under #line directives, so each carries
+// a file name and line of its own.
+std::source_location twin_site_alpha();
+std::source_location twin_site_beta();
+std::source_location twin_site_beta_later();
+std::vector<std::source_location> many_sites();
+
+/// The site hash written out independently: 64-bit FNV-1a over the bytes of
+/// the basename, then one step folding in the whole line number.
+std::uint64_t reference_site_hash(const std::source_location& loc) {
+  std::string_view name = loc.file_name();
+  const std::size_t slash = name.find_last_of("/\\");
+  if (slash != std::string_view::npos) name.remove_prefix(slash + 1);
+  std::uint64_t h = 1469598103934665603ull;
+  for (const char c : name) {
+    h = (h ^ static_cast<unsigned char>(c)) * 1099511628211ull;
+  }
+  return (h ^ loc.line()) * 1099511628211ull;
+}
+
+TEST(SiteHashMemo, TwinBasenamesInDistinctDirectoriesHashAlike) {
+  const std::source_location alpha = twin_site_alpha();
+  const std::source_location beta = twin_site_beta();
+  const std::source_location later = twin_site_beta_later();
+  ASSERT_NE(alpha.file_name(), beta.file_name());
+  ASSERT_STRNE(alpha.file_name(), beta.file_name());
+  ASSERT_EQ(alpha.line(), beta.line());
+  for (int pass = 0; pass < 2; ++pass) {  // a miss, then a memo hit
+    EXPECT_EQ(site_hash(alpha), reference_site_hash(alpha));
+    EXPECT_EQ(site_hash(beta), reference_site_hash(beta));
+    EXPECT_EQ(site_hash(later), reference_site_hash(later));
+  }
+  EXPECT_EQ(site_hash(alpha), site_hash(beta));
+  EXPECT_NE(site_hash(beta), site_hash(later));
+}
+
+TEST(SiteHashMemo, OneFileAtDifferentLines) {
+  const std::source_location first = std::source_location::current();
+  const std::source_location second = std::source_location::current();
+  for (int pass = 0; pass < 2; ++pass) {
+    EXPECT_EQ(site_hash(first), reference_site_hash(first));
+    EXPECT_EQ(site_hash(second), reference_site_hash(second));
+  }
+  EXPECT_NE(site_hash(first), site_hash(second));
+}
+
+TEST(SiteHashMemo, MoreSitesThanSlotsEvictAndStillMatch) {
+  // 72 sites in a 64-slot table: at least eight share a slot, so later
+  // passes hit, miss and evict in turn.
+  const std::vector<std::source_location> sites = many_sites();
+  ASSERT_GT(sites.size(), 64u);
+  for (int pass = 0; pass < 3; ++pass) {
+    for (const std::source_location& loc : sites) {
+      ASSERT_EQ(site_hash(loc), reference_site_hash(loc))
+          << loc.file_name() << ":" << loc.line();
+    }
+  }
+}
+
+TEST(SiteHashMemo, FourThreadsHashConcurrently) {
+  std::vector<std::source_location> sites = many_sites();
+  sites.push_back(twin_site_alpha());
+  sites.push_back(twin_site_beta());
+  std::vector<std::uint64_t> expected;
+  for (const std::source_location& loc : sites) {
+    expected.push_back(reference_site_hash(loc));
+  }
+  std::vector<int> mismatches(4, 0);
+  std::vector<std::thread> threads;
+  for (std::size_t t = 0; t < 4; ++t) {
+    threads.emplace_back([&sites, &expected, &mismatches, t] {
+      for (int pass = 0; pass < 200; ++pass) {
+        // Each thread walks the sites from its own offset, so the threads'
+        // tables fill and evict in different orders.
+        for (std::size_t i = 0; i < sites.size(); ++i) {
+          const std::size_t k = (i + 17 * t) % sites.size();
+          if (site_hash(sites[k]) != expected[k]) ++mismatches[t];
+        }
+      }
+    });
+  }
+  for (std::thread& th : threads) th.join();
+  EXPECT_EQ(mismatches, (std::vector<int>{0, 0, 0, 0}));
+}
+
 TEST(Simulator, RejectsPastAndNegative) {
   Simulator sim;
   sim.schedule_in(10, [] {});
@@ -557,6 +645,104 @@ TEST(SteadyStateSolver, RejectsBadFlow) {
   EXPECT_THROW(s.add_flow({{5, 1.0}}), std::out_of_range);
   EXPECT_THROW(s.add_flow({{0, 1.0}}, std::nan("")), std::invalid_argument);
   EXPECT_THROW(s.add_resource("bad", -1.0), std::invalid_argument);
+}
+
+}  // namespace
+}  // namespace spider::sim
+
+// The sites SiteHashMemo hashes. Each #line directive renames the file and
+// renumbers the lines that follow, which is the only way to give a
+// source_location a file name of its own; nothing follows them in this file.
+namespace spider::sim {
+namespace {
+
+#line 7 "alpha/twin_site.cpp"
+std::source_location twin_site_alpha() {
+  return std::source_location::current();
+}
+#line 7 "beta/twin_site.cpp"
+std::source_location twin_site_beta() {
+  return std::source_location::current();
+}
+std::source_location twin_site_beta_later() {
+  return std::source_location::current();
+}
+#line 1 "gamma/many_sites.cpp"
+std::vector<std::source_location> many_sites() {
+  return {
+      std::source_location::current(),
+      std::source_location::current(),
+      std::source_location::current(),
+      std::source_location::current(),
+      std::source_location::current(),
+      std::source_location::current(),
+      std::source_location::current(),
+      std::source_location::current(),
+      std::source_location::current(),
+      std::source_location::current(),
+      std::source_location::current(),
+      std::source_location::current(),
+      std::source_location::current(),
+      std::source_location::current(),
+      std::source_location::current(),
+      std::source_location::current(),
+      std::source_location::current(),
+      std::source_location::current(),
+      std::source_location::current(),
+      std::source_location::current(),
+      std::source_location::current(),
+      std::source_location::current(),
+      std::source_location::current(),
+      std::source_location::current(),
+      std::source_location::current(),
+      std::source_location::current(),
+      std::source_location::current(),
+      std::source_location::current(),
+      std::source_location::current(),
+      std::source_location::current(),
+      std::source_location::current(),
+      std::source_location::current(),
+      std::source_location::current(),
+      std::source_location::current(),
+      std::source_location::current(),
+      std::source_location::current(),
+      std::source_location::current(),
+      std::source_location::current(),
+      std::source_location::current(),
+      std::source_location::current(),
+      std::source_location::current(),
+      std::source_location::current(),
+      std::source_location::current(),
+      std::source_location::current(),
+      std::source_location::current(),
+      std::source_location::current(),
+      std::source_location::current(),
+      std::source_location::current(),
+      std::source_location::current(),
+      std::source_location::current(),
+      std::source_location::current(),
+      std::source_location::current(),
+      std::source_location::current(),
+      std::source_location::current(),
+      std::source_location::current(),
+      std::source_location::current(),
+      std::source_location::current(),
+      std::source_location::current(),
+      std::source_location::current(),
+      std::source_location::current(),
+      std::source_location::current(),
+      std::source_location::current(),
+      std::source_location::current(),
+      std::source_location::current(),
+      std::source_location::current(),
+      std::source_location::current(),
+      std::source_location::current(),
+      std::source_location::current(),
+      std::source_location::current(),
+      std::source_location::current(),
+      std::source_location::current(),
+      std::source_location::current(),
+  };
 }
 
 }  // namespace
