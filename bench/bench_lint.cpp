@@ -1,13 +1,8 @@
 // spiderlint whole-tree wall time (docs/static-analysis.md).
 //
 // Lints the repo's own src/, tests/, and bench/ trees cold — read, scan,
-// tokenize, per-file rules, and the project-wide L5 include graph — once
-// serially (--jobs=1) and once fanned out over the shared pool (--jobs=0,
-// one worker per hardware thread), and reports files/sec plus the per-phase
-// split the CLI prints under --stats. Because lint output is worker-count
-// invariant by construction, the bench checks in-run that the parallel pass
-// renders byte-identical JSON to the serial pass — the speedup compares the
-// same analysis, not two different ones.
+// tokenize, per-file rules, and the project-wide L5 include graph — and
+// reports files/sec plus the per-phase split the CLI prints under --stats.
 //
 // Flags and gate: bench::GatedRun. The report defaults to BENCH_lint.json;
 // ci/bench-baseline-lint.json gates serial files/sec.
@@ -36,16 +31,13 @@ struct LintRun {
   double scan_ms = 0.0;
   double rules_ms = 0.0;
   double global_ms = 0.0;
-  std::string json;
 };
 
-/// Time `reps` cold lints of the whole tree at the given fan-out. Every rep
-/// re-reads and re-scans from disk, so the runs are comparable and the
-/// phase split reflects what `spiderlint --stats` would print.
-LintRun run_point(const std::vector<std::string>& paths, std::size_t reps,
-                  std::size_t jobs) {
-  LintOptions opts;
-  opts.jobs = jobs;
+/// Time `reps` cold lints of the whole tree. Every rep re-reads and
+/// re-scans from disk, so the phase split reflects what
+/// `spiderlint --stats` would print.
+LintRun run_point(const std::vector<std::string>& paths, std::size_t reps) {
+  const LintOptions opts;
   LintRun out;
   LintReport last;
   const bench::Clock::time_point start = bench::Clock::now();
@@ -62,7 +54,6 @@ LintRun run_point(const std::vector<std::string>& paths, std::size_t reps,
   const double scanned = static_cast<double>(out.files) *
                          static_cast<double>(reps);
   out.files_per_sec = out.elapsed_s > 0.0 ? scanned / out.elapsed_s : 0.0;
-  out.json = render_json(last);
   return out;
 }
 
@@ -90,23 +81,10 @@ int run_bench(bench::GatedRun& run) {
                 r.scan_ms, r.rules_ms, r.global_ms);
   };
 
-  const LintRun serial = run_point(paths, reps, /*jobs=*/1);
-  const LintRun parallel = run_point(paths, reps, /*jobs=*/0);
+  const LintRun serial = run_point(paths, reps);
   add("serial", serial);
-  add("parallel", parallel);
 
   checker.check(serial.files > 0, "tree walked: files scanned > 0");
-
-  // The determinism bar, in-run: the fanned-out lint must render the same
-  // bytes as the serial one or the speedup compares two different checks.
-  checker.check(serial.json == parallel.json,
-                "parallel JSON byte-identical to serial");
-
-  const double speedup = serial.files_per_sec > 0.0
-                             ? parallel.files_per_sec / serial.files_per_sec
-                             : 0.0;
-  report.add("speedup", "vs_serial", speedup);
-  std::printf("  %-10s %10.2fx parallel speedup\n", "speedup", speedup);
 
   run.gate("serial", "files_per_sec", serial.files_per_sec);
   return run.finish();

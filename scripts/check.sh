@@ -3,8 +3,7 @@
 # verification.
 #
 # Stage 0 runs the static-analysis pass (spiderlint, plus clang-tidy when
-# installed — see docs/static-analysis.md) and proves spiderlint --jobs
-# emits bytes identical to the serial run; it is the cheapest stage, so it
+# installed — see docs/static-analysis.md); it is the cheapest stage, so it
 # goes first. Then the address and undefined sanitizer presets build and run
 # the full test suite, and finally the deterministic-replay test runs twice
 # in fresh processes and the replay hashes are diffed — proving the
@@ -37,22 +36,6 @@ if [ ! -x "${BUILD_ROOT}/lint/tools/spiderlint" ]; then
        "this tree" >&2
   exit 2
 fi
-
-# Parallel-lint determinism: the per-file pass fans out over the shared
-# pool, but findings merge in canonical path order, so stdout must be
-# byte-identical at every --jobs count — the same guarantee the
-# parallel-campaign stage proves for spiderfault.
-LINT_BIN="${BUILD_ROOT}/lint/tools/spiderlint"
-echo "=== spiderlint --jobs determinism (1/2/4/8 vs serial) ==="
-for LINT_JOBS in 1 2 4 8; do
-  "${LINT_BIN}" --jobs="${LINT_JOBS}" --format=json src tests bench \
-      > "${BUILD_ROOT}/lint_jobs${LINT_JOBS}.json" || true
-  if ! diff "${BUILD_ROOT}/lint_jobs1.json" \
-            "${BUILD_ROOT}/lint_jobs${LINT_JOBS}.json"; then
-    echo "FAIL: spiderlint --jobs=${LINT_JOBS} diverged from serial" >&2
-    exit 1
-  fi
-done
 
 run_preset() {
   local preset="$1"

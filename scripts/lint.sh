@@ -21,8 +21,6 @@
 #                     close); only the *report* narrows, via --only.
 #                     Ignores path args. Skips the baseline-staleness gate:
 #                     a narrowed report cannot tell fixed from not-reported.
-#   --jobs=N          spiderlint worker threads (passed through; output is
-#                     byte-identical at any N)
 #   --prune           rewrite the baseline dropping stale entries (full-tree
 #                     runs only: pruning against a partial run deletes
 #                     entries for files that simply were not linted)
@@ -49,7 +47,6 @@ for arg in "$@"; do
     --json)        SPIDERLINT_ARGS+=(--format=json) ;;
     --format=*)    SPIDERLINT_ARGS+=("$arg") ;;
     --stats)       SPIDERLINT_ARGS+=(--stats) ;;
-    --jobs=*)      SPIDERLINT_ARGS+=("$arg") ;;
     --changed)     CHANGED=1 ;;
     --prune)       PRUNE=1 ;;
     --stale=*)     STALE_MODE="${arg#--stale=}" ;;

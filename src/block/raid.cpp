@@ -50,7 +50,6 @@ std::vector<std::size_t> Raid6Group::readable_members() const {
 }
 
 void Raid6Group::note_read(std::size_t i) {
-  ++reads_noted_;
   if (states_.at(i) != MemberState::kOnline) ++unsafe_reads_;
 }
 

@@ -77,7 +77,6 @@ class Raid6Group {
   /// Record a read served from member `i`. Reads from non-online members are
   /// counted as unsafe — the RAID read-safety oracle asserts this stays 0.
   void note_read(std::size_t i);
-  std::uint64_t reads_noted() const { return reads_noted_; }
   std::uint64_t unsafe_reads() const { return unsafe_reads_; }
 
   /// Delivered bandwidth for a uniform stream of `request_size` requests in
@@ -109,7 +108,6 @@ class Raid6Group {
   std::vector<Disk> members_;
   std::vector<MemberState> states_;
   bool data_lost_ = false;
-  std::uint64_t reads_noted_ = 0;
   std::uint64_t unsafe_reads_ = 0;
 };
 

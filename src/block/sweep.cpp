@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <string>
 
-#include "common/parallel.hpp"
 #include "common/units.hpp"
 #include "common/rng.hpp"
 
@@ -35,16 +34,12 @@ template <typename Target>
 std::vector<SweepPoint> run_impl(const Target& target, const SweepConfig& cfg) {
   const auto configs = expand(cfg);
   std::vector<SweepPoint> out(configs.size());
-  parallel_for(
-      configs.size(),
-      [&](std::size_t i) {
-        // Deterministic per-point stream: identical results at any thread
-        // count.
-        Rng rng(cfg.seed * 0x9e3779b97f4a7c15ULL + i);
-        out[i].config = configs[i];
-        out[i].result = run_fairlio(target, configs[i], rng);
-      },
-      cfg.threads);
+  for (std::size_t i = 0; i < configs.size(); ++i) {
+    // One stream per point, seeded by its index.
+    Rng rng(cfg.seed * 0x9e3779b97f4a7c15ULL + i);
+    out[i].config = configs[i];
+    out[i].result = run_fairlio(target, configs[i], rng);
+  }
   return out;
 }
 

@@ -4,10 +4,8 @@
 // exploration over several variables, including I/O request size, queue
 // depth, read to write ratio, I/O duration, and I/O mode (i.e. sequential
 // or random)." This orchestrator runs the cross product against a disk or
-// RAID group — the exact deliverable vendors executed for the RFP — with
-// optional parallel execution across sweep points (each point gets a
-// deterministic per-point RNG, so parallel and serial runs are
-// bit-identical).
+// RAID group — the exact deliverable vendors executed for the RFP. Each
+// point gets its own RNG seeded from (seed, point index).
 #pragma once
 
 #include <cstdint>
@@ -25,8 +23,6 @@ struct SweepConfig {
   std::vector<IoMode> modes{IoMode::kSequential, IoMode::kRandom};
   double duration_s = 2.0;
   std::uint64_t seed = 1;
-  /// Worker threads (1 = serial; results identical either way).
-  std::size_t threads = 1;
 };
 
 struct SweepPoint {

@@ -2,19 +2,17 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cassert>
+#include <exception>
 #include <memory>
-#include <stdexcept>
 #include <utility>
 
 namespace spider {
 
 ThreadPool::ThreadPool(std::size_t threads) {
   if (threads == 0) threads = 1;
-  pinned_.resize(threads);
   workers_.reserve(threads);
   for (std::size_t i = 0; i < threads; ++i) {
-    workers_.emplace_back([this, i] { worker_loop(i); });
+    workers_.emplace_back([this] { worker_loop(); });
   }
 }
 
@@ -30,40 +28,9 @@ ThreadPool::~ThreadPool() {
 void ThreadPool::submit(std::function<void()> task) {
   {
     std::lock_guard lock(mu_);
-    ++submitted_;
     tasks_.push(std::move(task));
   }
   cv_task_.notify_one();
-}
-
-void ThreadPool::submit_to(std::size_t worker, std::function<void()> task) {
-  {
-    std::lock_guard lock(mu_);
-    if (worker >= pinned_.size()) {
-      throw std::out_of_range("submit_to: worker index out of range");
-    }
-    ++submitted_;
-    pinned_[worker].push(std::move(task));
-  }
-  // notify_all: notify_one could wake a worker other than the pinned target,
-  // which would go back to sleep and strand the task.
-  cv_task_.notify_all();
-}
-
-void ThreadPool::wait_idle() {
-  std::exception_ptr err;
-  {
-    std::unique_lock lock(mu_);
-    // submitted_ == finished_ implies the queue is empty AND nothing is
-    // mid-flight: a running task that submits follow-up work increments
-    // submitted_ before it retires (finished_ lags), so the predicate stays
-    // false across the handoff. The old `queue empty && nothing running`
-    // predicate could momentarily hold between a task draining the queue
-    // and its follow-up submission landing.
-    cv_idle_.wait(lock, [this] { return submitted_ == finished_; });
-    err = std::exchange(first_error_, nullptr);
-  }
-  if (err) std::rethrow_exception(err);
 }
 
 std::vector<std::thread::id> ThreadPool::worker_ids() const {
@@ -81,44 +48,18 @@ bool ThreadPool::on_worker_thread() const {
   return false;
 }
 
-void ThreadPool::worker_loop(std::size_t index) {
+void ThreadPool::worker_loop() {
   for (;;) {
     std::function<void()> task;
     {
       std::unique_lock lock(mu_);
-      cv_task_.wait(lock, [this, index] {
-        return stop_ || !pinned_[index].empty() || !tasks_.empty();
-      });
-      // The pinned queue drains first: affinity work (one shard, every
-      // epoch) should not queue behind unrelated shared-pool batches.
-      if (!pinned_[index].empty()) {
-        task = std::move(pinned_[index].front());
-        pinned_[index].pop();
-      } else if (!tasks_.empty()) {
-        task = std::move(tasks_.front());
-        tasks_.pop();
-      } else {
-        return;  // stop_ set and nothing left for this worker
-      }
+      cv_task_.wait(lock, [this] { return stop_ || !tasks_.empty(); });
+      if (tasks_.empty()) return;  // stop_ set and the queue drained
+      task = std::move(tasks_.front());
+      tasks_.pop();
     }
-    std::exception_ptr err;
-    try {
-      task();
-    } catch (...) {
-      err = std::current_exception();
-    }
-    {
-      std::lock_guard lock(mu_);
-      ++finished_;
-      assert(finished_ <= submitted_);  // accounting must balance
-      if (err && !first_error_) first_error_ = std::move(err);
-      notify_if_idle_locked();
-    }
+    task();
   }
-}
-
-void ThreadPool::notify_if_idle_locked() {
-  if (submitted_ == finished_) cv_idle_.notify_all();
 }
 
 ThreadPool& shared_pool() {

@@ -1,22 +1,22 @@
-// Minimal task parallelism: a fixed thread pool plus parallel_for.
+// Minimal task parallelism: one fixed thread pool with one FIFO queue, plus
+// parallel_for.
 //
-// Benchmarks sweep large parameter spaces (Lesson 15 warns scaling studies
-// are expensive); independent sweep points run concurrently across hardware
-// threads. Simulations themselves stay single-threaded and deterministic —
-// parallelism is only across independent runs.
+// The pool has two users, each measured to pay (docs/performance.md,
+// "Pooled parallel fan-out"): parallel_for, which fans independent runs
+// (spiderfault --jobs=N campaigns) over the machine, and the sharded
+// engine's lane team (sim/sharded_sim.hpp). Simulations themselves stay
+// single-threaded and deterministic; parallelism is across independent runs
+// or across shards that meet at epoch barriers.
 //
-// parallel_for no longer spawns threads: every call routes through one
-// process-wide shared ThreadPool (see shared_pool()), so sweep benches and
-// spiderfault --jobs=N pay thread creation once per process instead of once
-// per batch. The calling thread participates in its own batch, which both
-// speeds small batches up and makes nested calls from a worker thread
-// deadlock-free (they simply run inline).
+// parallel_for never spawns threads: every call routes through one
+// process-wide ThreadPool (see shared_pool()), so thread creation is paid
+// once per process. The calling thread participates in its own batch,
+// which both speeds small batches up and makes nested calls from a worker
+// thread deadlock-free (they simply run inline).
 #pragma once
 
 #include <condition_variable>
 #include <cstddef>
-#include <cstdint>
-#include <exception>
 #include <functional>
 #include <mutex>
 #include <queue>
@@ -27,10 +27,12 @@
 
 namespace spider {
 
-/// Fixed-size worker pool. Tasks are void() callables. An exception escaping
-/// a task does not kill the worker: the first exception per batch is
-/// captured and rethrown from the next wait_idle() call; later exceptions in
-/// the same batch are dropped.
+/// Fixed-size worker pool draining one FIFO queue of void() tasks. Tasks
+/// must not throw: an exception escaping a task ends the process
+/// (std::terminate). Both users catch on the worker and rethrow on their
+/// caller — parallel_for through its batch state, the lane team through
+/// each shard's error slot. The destructor runs every queued task, then
+/// joins the workers.
 class ThreadPool {
  public:
   explicit ThreadPool(std::size_t threads = std::thread::hardware_concurrency());
@@ -40,22 +42,6 @@ class ThreadPool {
   ThreadPool& operator=(const ThreadPool&) = delete;
 
   void submit(std::function<void()> task);
-  /// Enqueue onto one specific worker's pinned queue (FIFO per worker,
-  /// drained ahead of the shared queue). Pinning gives repeat submitters —
-  /// like the sharded simulator running the same shard every epoch — cache
-  /// affinity: shard state stays warm on one OS thread across barriers.
-  /// Pinned tasks count toward wait_idle() like shared ones. Throws
-  /// std::out_of_range when `worker` >= size().
-  void submit_to(std::size_t worker, std::function<void()> task);
-  /// Block until every task submitted so far — including follow-up tasks
-  /// that running tasks submit — has finished, then rethrow the first
-  /// exception any task in the batch raised (clearing it, so the pool stays
-  /// usable for the next batch). Completion is counted against
-  /// submitted-vs-finished totals, not a momentarily drained queue: a task
-  /// that submit()s more work bumps the submitted count before it retires,
-  /// so wait_idle() cannot slip through the gap between "queue empty" and
-  /// "follow-up enqueued".
-  void wait_idle();
 
   std::size_t size() const { return workers_.size(); }
 
@@ -67,22 +53,12 @@ class ThreadPool {
   bool on_worker_thread() const;
 
  private:
-  void worker_loop(std::size_t index);
-  /// Wake wait_idle() when every submitted task has finished. Caller holds
-  /// mu_ — the predicate check and the notification must be serialized or
-  /// the wakeup can be lost.
-  void notify_if_idle_locked() SPIDER_REQUIRES(mu_);
+  void worker_loop();
 
   std::vector<std::thread> workers_;
-  mutable std::mutex mu_;
+  std::mutex mu_;
   std::condition_variable cv_task_;
-  std::condition_variable cv_idle_;
   std::queue<std::function<void()>> tasks_ SPIDER_GUARDED_BY(mu_);
-  /// One pinned FIFO per worker, serviced before the shared queue.
-  std::vector<std::queue<std::function<void()>>> pinned_ SPIDER_GUARDED_BY(mu_);
-  std::exception_ptr first_error_ SPIDER_GUARDED_BY(mu_);
-  std::uint64_t submitted_ SPIDER_GUARDED_BY(mu_) = 0;
-  std::uint64_t finished_ SPIDER_GUARDED_BY(mu_) = 0;
   bool stop_ SPIDER_GUARDED_BY(mu_) = false;
 };
 

@@ -61,7 +61,6 @@ class CenterModel final : public workload::IoPathProvider {
   std::size_t total_osts() const { return osts_.size(); }
   fs::Ost& ost_at(std::size_t global) { return osts_.at(global); }
   std::size_t num_oss() const { return oss_.size(); }
-  fs::Oss& oss_at(std::size_t i) { return oss_.at(i); }
   fs::FileSystem& filesystem() { return filesystem_; }
 
   std::size_t oss_of_ost(std::size_t global_ost) const;
@@ -73,13 +72,11 @@ class CenterModel final : public workload::IoPathProvider {
   // --- knobs ---------------------------------------------------------------
   /// Which namespace IOR-style runs target; SIZE_MAX = all OSTs.
   void set_target_namespace(std::size_t ns);
-  std::size_t target_namespace() const { return target_ns_; }
   void set_routing_policy(RoutingPolicy policy) { routing_ = policy; }
   /// Re-deal clients to torus nodes. kRandom models scheduler placement
   /// (optimized for nearest-neighbor compute, not I/O); kOptimal co-locates
   /// clients with their routers (the paper's hand-placed 1,008-client run).
   void set_client_placement(ClientPlacement placement, Rng& rng);
-  ClientPlacement client_placement() const { return placement_mode_; }
   /// Swap controller generation fleet-wide and refresh solver capacities.
   void upgrade_controllers(const block::ControllerParams& params);
   /// Set every OST's used-space fraction (fill-state experiments) and

@@ -74,9 +74,6 @@ class ScaleScenario {
   void start();
 
   ScaleTotals totals() const;
-  /// Latency carried by each cross-zone notify (the fabric floor plus the
-  /// notify payload's wire time) — the upper bound for engine lookahead.
-  sim::SimTime cross_latency() const { return cross_latency_; }
   std::size_t clients_per_zone() const;
 
   /// The widest causally safe lookahead for this scenario's cross traffic.
@@ -106,6 +103,8 @@ class ScaleScenario {
   ScaleParams params_;
   sim::ShardedSimulator& engine_;
   sim::ShardMap map_;
+  /// Latency each cross-zone notify carries: the fabric floor plus the
+  /// notify's wire time, the upper bound for engine lookahead.
   sim::SimTime cross_latency_ = 0;
   std::vector<Zone> zones_;
 };

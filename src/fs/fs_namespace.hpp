@@ -84,7 +84,6 @@ class FsNamespace {
     oplog_mask_ = mask;
   }
   OpLog* oplog() const { return oplog_; }
-  ChangelogMask changelog_mask() const { return oplog_mask_; }
 
   // --- file operations (metadata accounted on the MDS) -------------------
   /// Create a file; returns kNoFile when no space can be found.

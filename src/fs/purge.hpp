@@ -124,7 +124,6 @@ class PurgeEngine {
   /// recovery path after a crash rewound the log (cursor_ahead).
   ConsumeResult rebuild();
 
-  std::uint64_t tracked_files() const { return files_.size(); }
   std::uint64_t cursor() const { return cursor_.position(); }
   const PurgeRules& rules() const { return rules_; }
 

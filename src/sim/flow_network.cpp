@@ -2,13 +2,13 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <stdexcept>
 
 namespace spider::sim {
 
 namespace {
-// A flow is considered finished when its remaining size drops below this
-// fraction of one unit; prevents infinite tails from float error.
+// Remaining size below this fraction of one unit counts as finished.
 constexpr double kRemainingEps = 1e-6;
 }  // namespace
 
@@ -102,13 +102,11 @@ void FlowNetwork::advance_progress() {
 }
 
 void FlowNetwork::resolve() {
-  // Cancel any stale completion event.
-  if (completion_scheduled_) {
+  if (completion_scheduled_) {  // the stale completion
     sim_.cancel(completion_event_);
     completion_scheduled_ = false;
   }
-  // Unchanged inputs give bit-identical rates, so only the completion time
-  // (from the flows' new remaining sizes) needs recomputing.
+  // Unchanged inputs give bit-identical rates: only completion times move.
   if (inputs_changed_) {
     solve();
   } else {
@@ -120,9 +118,11 @@ void FlowNetwork::resolve() {
       min_completion_s = std::min(min_completion_s, f.remaining / f.rate);
     }
   }
-  if (!std::isinf(min_completion_s)) {
-    SimTime dt = from_seconds(min_completion_s);
-    if (dt < 1) dt = 1;  // always move forward
+  // None past SimTime's end (inf included); a later re-solve schedules it.
+  const SimTime headroom = std::numeric_limits<SimTime>::max() - sim_.now();
+  const double dt_ns = min_completion_s * static_cast<double>(kSecond);
+  if (dt_ns < static_cast<double>(headroom)) {  // so the cast and now + dt fit
+    const SimTime dt = std::max<SimTime>(static_cast<SimTime>(dt_ns), 1);
     completion_event_ = sim_.schedule_in(dt, [this] { on_completion_event(); });
     completion_scheduled_ = true;
   }

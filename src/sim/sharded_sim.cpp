@@ -216,7 +216,7 @@ void ShardedSimulator::run_team() {
   const std::size_t wanted = cfg_.workers == 0 ? pool.size() + 1 : cfg_.workers;
   const std::size_t lanes = std::min({wanted, shards_.size(), pool.size() + 1});
   // Run serially from a pool worker (nested in parallel_for, or in a helper
-  // lane) — blocking on pinned lanes from inside the pool could starve — and
+  // lane) — blocking on helper lanes from inside the pool could starve — and
   // while another team is out.
   const bool claimed = lanes > 1 && !pool.on_worker_thread() &&
                        !team_out.exchange(true, std::memory_order_acquire);
@@ -224,9 +224,9 @@ void ShardedSimulator::run_team() {
   auto team = std::make_shared<Team>(*this, helpers);
   done_ = false;
   for (std::size_t lane = 1; lane <= helpers; ++lane) {
-    // One task per helper lane per run, pinned lane -> worker, so the same
-    // shards stay on the same OS thread for every epoch.
-    pool.submit_to(lane - 1, [this, team, lane] {
+    // One task per helper lane for the whole run, so a lane's shards stay
+    // on one OS thread for every epoch.
+    pool.submit([this, team, lane] {
       run_lane(*team, lane);
       team->joined.count_down();
     });

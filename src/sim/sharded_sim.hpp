@@ -34,12 +34,12 @@
 //     the stream (pinned by the metamorphic tests).
 //
 // Lanes: shard s runs on lane s % lanes. Each run() forms one lane team:
-// lane 0 is the calling thread and each helper lane is one task pinned to a
-// shared_pool() worker (ThreadPool::submit_to) for the whole run, so a
-// shard's state stays cache-warm on one OS thread. Lanes meet at one
-// std::barrier per epoch; its completion step plans the next epoch. Each
-// shard's epoch-time state sits in its own kLaneAlign-aligned holder, so no
-// two shards' holders share a cache line (docs/parallel-engine.md).
+// lane 0 is the calling thread and each helper lane is one shared_pool()
+// task for the whole run, so a shard's state stays cache-warm on one OS
+// thread without pinning. Lanes meet at one std::barrier per epoch; its
+// completion step plans the next epoch. Each shard's epoch-time state sits
+// in its own kLaneAlign-aligned holder, so no two shards' holders share a
+// cache line (docs/parallel-engine.md).
 #pragma once
 
 #include <array>
@@ -93,9 +93,9 @@ struct ShardedConfig {
   /// messages sent during an epoch must land at or after the epoch's end;
   /// net/lookahead.hpp derives safe values from the torus/fabric models.
   SimTime lookahead = kMillisecond;
-  /// Max concurrent lanes (caller + pinned pool workers). 0 = auto (one
-  /// lane per shared_pool() worker plus the caller); 1 = serial execution
-  /// on the calling thread. The merged stream is identical either way.
+  /// Max concurrent lanes (caller + pool workers). 0 = auto (one lane per
+  /// shared_pool() worker plus the caller); 1 = serial execution on the
+  /// calling thread. The merged stream is identical either way.
   std::size_t workers = 0;
 };
 

@@ -119,10 +119,4 @@ std::uint64_t Simulator::run(SimTime until) {
   return ran;
 }
 
-bool Simulator::step() {
-  if (queue_.empty()) return false;
-  dispatch(queue_.pop());
-  return true;
-}
-
 }  // namespace spider::sim

@@ -57,11 +57,8 @@ class Simulator {
   /// the number of events executed.
   std::uint64_t run(SimTime until = std::numeric_limits<SimTime>::max());
 
-  /// Execute exactly one event, if any. Returns true if one ran.
-  bool step();
-
   /// Install (or clear, with nullptr) the per-event observer. Non-owning:
-  /// the observed object must stay alive for every subsequent run()/step().
+  /// the observed object must stay alive for every subsequent run().
   void set_observer(EventObserver obs) { observer_ = obs; }
 
   bool idle() const { return queue_.empty(); }

@@ -78,7 +78,6 @@ class RebuildTracker {
   const std::vector<Sample>& samples() const { return samples_; }
   /// Mutable access so negative tests can seed a hostile sample.
   std::vector<Sample>& samples_mutable() { return samples_; }
-  std::size_t active_rebuilds() const { return active_.size(); }
 
  private:
   struct Active {

@@ -31,10 +31,7 @@ void fold(ChurnVerdict& verdict, const fs::ConsumeResult& res) {
 ChurnVerdict run_churn(const ChurnRunConfig& cfg) {
   ChurnVerdict verdict;
 
-  sim::ShardedConfig engine_cfg;
-  engine_cfg.workers = cfg.workers;
-  sim::ShardedSimulator engine(std::max<std::size_t>(1, cfg.engine_shards),
-                               engine_cfg);
+  sim::ShardedSimulator engine(std::max<std::size_t>(1, cfg.engine_shards));
   const sim::ShardMap map(cfg.params.namespaces, engine.shards());
   core::ChurnScenario scenario(cfg.params, engine, map);
   scenario.seed_population();

@@ -38,8 +38,6 @@ struct ChurnRunConfig {
   core::ChurnParams params;
   /// Sharded-engine fan-out hosting the scenario.
   std::size_t engine_shards = 4;
-  /// Engine lanes (0 = auto, 1 = serial). Totals are lane-invariant.
-  std::size_t workers = 0;
   /// Barriers at which consumers poll, queries run, and oracles audit.
   std::size_t epochs = 8;
   /// Purge policy window; sweeps fire every `purge_every` epochs (0 = off).
@@ -82,8 +80,8 @@ struct ChurnVerdict {
   std::vector<sim::OracleViolation> violations;
 };
 
-/// Run the scenario; deterministic in (cfg) — engine shards and workers
-/// never change the outcome, only the wall clock.
+/// Run the scenario on an auto-width lane team; deterministic in (cfg) —
+/// engine shards and lanes never change the outcome, only the wall clock.
 ChurnVerdict run_churn(const ChurnRunConfig& cfg);
 
 /// One-line JSON verdict, shaped like the campaign's verdict lines.

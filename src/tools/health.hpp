@@ -50,7 +50,6 @@ struct Incident {
 class HealthMonitor {
  public:
   void ingest(HealthEvent ev);
-  std::size_t events_seen() const { return events_.size(); }
 
   /// Coalesce ingested events into incidents: same component, gaps below
   /// `window`. An incident is hardware_related when any member event came

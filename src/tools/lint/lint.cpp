@@ -6,8 +6,6 @@
 #include <fstream>
 #include <sstream>
 
-#include "common/parallel.hpp"
-
 // spiderlint-file: nondet-ok — steady_clock feeds only the --stats phase
 // timings, never a finding, a sort key, or an output byte.
 
@@ -102,9 +100,7 @@ LintReport lint_paths(const std::vector<std::string>& paths,
   using Clock = std::chrono::steady_clock;
   LintReport report;
   const Clock::time_point t0 = Clock::now();
-  // Read + scan stays serial: IO error reporting keeps a deterministic
-  // order, and the scanner is a fraction of tokenize+rules cost. Scanned
-  // files are kept for the project-wide L5 layering pass.
+  // Scanned files are kept for the project-wide L5 layering pass.
   std::vector<SourceFile> scanned;
   for (const std::string& path : collect_sources(paths, errors)) {
     const std::optional<std::string> contents = read_file(path);
@@ -117,36 +113,27 @@ LintReport lint_paths(const std::vector<std::string>& paths,
   }
   const Clock::time_point t1 = Clock::now();
 
-  // Per-file pass, fanned out over the shared pool. Each slot is written
-  // by exactly one task and merged in slot order — and collect_sources is
-  // sorted — so the findings stream is byte-identical at any job count.
-  std::vector<std::vector<Finding>> slots(scanned.size());
-  spider::parallel_for(
-      scanned.size(),
-      [&](std::size_t i) {
-        const SourceFile& file = scanned[i];
-        // Pair foo.cpp with a sibling foo.hpp (or .h/.hh) for L1
-        // identifier tracking and L6/L7 declaration lookup.
-        SourceFile header;
-        const SourceFile* paired = nullptr;
-        const fs::path p(file.path);
-        if (p.extension() == ".cpp" || p.extension() == ".cc") {
-          for (const char* ext : {".hpp", ".h", ".hh"}) {
-            fs::path candidate = p;
-            candidate.replace_extension(ext);
-            const std::optional<std::string> header_text =
-                read_file(candidate.generic_string());
-            if (header_text.has_value()) {
-              header = scan_source(candidate.generic_string(), *header_text);
-              paired = &header;
-              break;
-            }
-          }
+  // Per-file pass, in collect_sources order (sorted).
+  for (const SourceFile& file : scanned) {
+    // Pair foo.cpp with a sibling foo.hpp (or .h/.hh) for L1 identifier
+    // tracking and L6/L7 declaration lookup.
+    SourceFile header;
+    const SourceFile* paired = nullptr;
+    const fs::path p(file.path);
+    if (p.extension() == ".cpp" || p.extension() == ".cc") {
+      for (const char* ext : {".hpp", ".h", ".hh"}) {
+        fs::path candidate = p;
+        candidate.replace_extension(ext);
+        const std::optional<std::string> header_text =
+            read_file(candidate.generic_string());
+        if (header_text.has_value()) {
+          header = scan_source(candidate.generic_string(), *header_text);
+          paired = &header;
+          break;
         }
-        slots[i] = lint_scanned(file, opts, paired);
-      },
-      opts.jobs);
-  for (std::vector<Finding>& found : slots) {
+      }
+    }
+    std::vector<Finding> found = lint_scanned(file, opts, paired);
     report.findings.insert(report.findings.end(),
                            std::make_move_iterator(found.begin()),
                            std::make_move_iterator(found.end()));
@@ -174,7 +161,7 @@ LintReport lint_paths(const std::vector<std::string>& paths,
   }
   // stable_sort: equal keys keep their (deterministic) insertion order, so
   // two findings sharing file/line/column/rule can never flip bytes
-  // between job counts.
+  // between runs.
   std::stable_sort(report.findings.begin(), report.findings.end(),
                    [](const Finding& a, const Finding& b) {
                      if (a.file != b.file) return a.file < b.file;

@@ -16,10 +16,6 @@ struct LintOptions {
   /// When set, overrides path-based classification for every file (used to
   /// lint fixture files that live outside src/).
   std::optional<FileClass> forced_class;
-  /// Worker count for the per-file pass over the shared pool (0 = one per
-  /// hardware thread). Findings are merged in canonical path order, so
-  /// output is byte-identical at any job count.
-  std::size_t jobs = 1;
   /// When non-empty, only findings in matching files are *reported*
   /// (exact path or path-suffix at a '/' boundary, like baseline entries).
   /// The L5 include graph is still built from every input file:

@@ -16,12 +16,9 @@
 //                        (default warn; CI runs error so fixed findings
 //                        must be deleted from the baseline, not hoarded)
 //   --stats              print `spiderlint-stats: files=N findings=N
-//                        jobs=N wall_ms=N scan_ms=N rules_ms=N
-//                        global_ms=N` to stderr (CI surfaces it in the job
-//                        summary; global_ms times the L5 include-graph pass)
-//   --jobs=N             fan the per-file pass out over N workers (0 or
-//                        omitted value = one per hardware thread; default
-//                        auto). Output is byte-identical at any job count.
+//                        wall_ms=N scan_ms=N rules_ms=N global_ms=N` to
+//                        stderr (CI surfaces it in the job summary;
+//                        global_ms times the L5 include-graph pass)
 //   --only=PATH          report findings only for matching files (exact or
 //                        path-suffix, repeatable). The L5 include graph
 //                        still sees every input file — scripts/lint.sh
@@ -42,7 +39,6 @@
 #include <string_view>
 #include <vector>
 
-#include "common/parse.hpp"
 #include "tools/lint/baseline.hpp"
 #include "tools/lint/lint.hpp"
 
@@ -63,7 +59,7 @@ int usage(const char* argv0) {
                "usage: %s [--format=text|json|sarif] [--fix-hints]\n"
                "       [--rules=L1,..] [--baseline=FILE] [--write-baseline]\n"
                "       [--prune-baseline] [--stale=warn|error] [--stats]\n"
-               "       [--jobs=N] [--only=PATH]...\n"
+               "       [--only=PATH]...\n"
                "       [--treat-as=sim-critical|src|header|calib]...\n"
                "       [--list-rules] <path>...\n",
                argv0);
@@ -76,7 +72,6 @@ int main(int argc, char** argv) {
   using namespace spider::lint;
 
   LintOptions opts;
-  opts.jobs = 0;  // CLI default: auto (the library default stays serial)
   enum class Format { kText, kJson, kSarif };
   Format format = Format::kText;
   bool fix_hints = false;
@@ -185,15 +180,6 @@ int main(int argc, char** argv) {
         return usage(argv[0]);
       }
       have_forced = true;
-    } else if (arg.starts_with("--jobs=")) {
-      const std::string_view n = arg.substr(7);
-      std::uint64_t jobs = 0;
-      if (!spider::parse_count(n, jobs)) {
-        std::fprintf(stderr, "spiderlint: bad --jobs value '%.*s'\n",
-                     static_cast<int>(n.size()), n.data());
-        return usage(argv[0]);
-      }
-      opts.jobs = static_cast<std::size_t>(jobs);
     } else if (arg.starts_with("--only=")) {
       const std::string_view pat = arg.substr(7);
       if (pat.empty()) {
@@ -294,9 +280,9 @@ int main(int argc, char** argv) {
     const auto wall_ms =
         std::chrono::duration_cast<std::chrono::milliseconds>(t1 - t0);
     std::fprintf(stderr,
-                 "spiderlint-stats: files=%zu findings=%zu jobs=%zu "
+                 "spiderlint-stats: files=%zu findings=%zu "
                  "wall_ms=%lld scan_ms=%lld rules_ms=%lld global_ms=%lld\n",
-                 report.files_scanned, report.findings.size(), opts.jobs,
+                 report.files_scanned, report.findings.size(),
                  static_cast<long long>(wall_ms.count()),
                  static_cast<long long>(report.scan_ms),
                  static_cast<long long>(report.rules_ms),

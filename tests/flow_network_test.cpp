@@ -370,5 +370,28 @@ TEST(FlowOrderRegression, StartOrderDoesNotChangeAllocations) {
   EXPECT_EQ(rec_a.stats_hash(), rec_b.stats_hash());
 }
 
+TEST_F(Fixture, NearDeadFlowSchedulesNoCompletionPastSimTimeEnd) {
+  // A 1e12-unit flow on a 1e-3 units/s disk needs 1e15 s, past SimTime's
+  // ~292 years. Casting that to SimTime is undefined (on x86 it reads as
+  // 1 ns, and a 1 ms run executes a million completion events), so no
+  // completion may be scheduled at all.
+  const auto disk = net.add_resource("near-dead", 1e-3);
+  int completions = 0;
+  FlowDesc d;
+  d.path = {{disk, 1.0}};
+  d.size = 1e12;
+  d.on_complete = [&](FlowId, SimTime) { ++completions; };
+  const FlowId id = net.start_flow(std::move(d));
+  EXPECT_EQ(sim.run(kMillisecond), 0u);
+  EXPECT_EQ(net.active_flows(), 1u);
+  EXPECT_EQ(net.flow_rate(id), 1e-3);
+
+  // A capacity change re-solves and schedules the completion.
+  net.set_capacity(disk, 1e12);
+  sim.run();
+  EXPECT_EQ(completions, 1);
+  EXPECT_EQ(net.active_flows(), 0u);
+}
+
 }  // namespace
 }  // namespace spider::sim

@@ -338,32 +338,6 @@ TEST(SpiderLint, SuppressionScopesAreExactlyScoped) {
   EXPECT_EQ(r.findings[0].line, 26u);  // d_ past the next-line scope
 }
 
-// --- parallel per-file pass: byte identity at any job count -----------------
-
-TEST(SpiderLint, JobsOutputIsByteIdenticalAcrossCounts) {
-  // The full fixture corpus (flat files and the L5 tree, per-file and
-  // include-graph findings) rendered at --jobs 1/2/4/8 must produce
-  // identical bytes — slot-ordered merge plus the canonical stable sort.
-  LintOptions opts;
-  std::vector<std::string> errors;
-  opts.jobs = 1;
-  const LintReport serial =
-      lint_paths({SPIDER_LINT_FIXTURES_DIR}, opts, errors);
-  EXPECT_TRUE(errors.empty());
-  EXPECT_FALSE(serial.findings.empty());
-  const std::string want = render_json(serial);
-  for (const std::size_t jobs : {2u, 4u, 8u}) {
-    LintOptions parallel_opts;
-    parallel_opts.jobs = jobs;
-    std::vector<std::string> parallel_errors;
-    const LintReport got =
-        lint_paths({SPIDER_LINT_FIXTURES_DIR}, parallel_opts,
-                   parallel_errors);
-    EXPECT_TRUE(parallel_errors.empty());
-    EXPECT_EQ(render_json(got), want) << "jobs=" << jobs;
-  }
-}
-
 // --- --only: the report narrows, the index does not -------------------------
 
 TEST(SpiderLint, ReportOnlyFiltersReportNotIndex) {

@@ -8,6 +8,7 @@
 // assignment changes the hash; changing the shard count does not.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstdint>
 #include <source_location>
 #include <stdexcept>
@@ -16,6 +17,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/parallel.hpp"
 #include "sim/replay.hpp"
 #include "sim/sharded_sim.hpp"
 #include "sim/simulator.hpp"
@@ -404,6 +406,23 @@ TEST(ShardedSim, EpochsSkipDeadTime) {
   engine.run(2 * sim::kSecond);
   EXPECT_LE(engine.epochs(), 4u);
   EXPECT_EQ(engine.executed_events(), 2u);
+}
+
+TEST(ShardedSim, LaneTeamAndParallelForShareOneQueue) {
+  // parallel_for helpers and helper lanes drain the pool's one FIFO queue:
+  // a run's lanes may queue behind a batch's late helpers, and the next
+  // batch queues behind the lanes. Each must still run, and run once.
+  const std::size_t zones = 8;
+  const ShardMap map(zones, 4);
+  const std::uint64_t serial = run_mini(zones, map, 4, 1);
+  const auto batch = [] {
+    std::vector<std::atomic<int>> hits(256);
+    parallel_for(hits.size(), [&](std::size_t i) { hits[i]++; });
+    for (const std::atomic<int>& h : hits) EXPECT_EQ(h.load(), 1);
+  };
+  batch();
+  EXPECT_EQ(run_mini(zones, map, 4, 0), serial);
+  batch();
 }
 
 }  // namespace

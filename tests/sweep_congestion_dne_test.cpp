@@ -25,21 +25,6 @@ TEST(Sweep, CoversTheCrossProduct) {
   for (const auto& p : points) EXPECT_GT(p.result.bandwidth, 0.0);
 }
 
-TEST(Sweep, ParallelMatchesSerialBitForBit) {
-  block::SweepConfig serial;
-  serial.duration_s = 0.5;
-  serial.threads = 1;
-  block::SweepConfig parallel = serial;
-  parallel.threads = 8;
-  const auto a = block::run_sweep(nominal_disk(), serial);
-  const auto b = block::run_sweep(nominal_disk(), parallel);
-  ASSERT_EQ(a.size(), b.size());
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    EXPECT_DOUBLE_EQ(a[i].result.bandwidth, b[i].result.bandwidth) << i;
-    EXPECT_EQ(a[i].result.requests, b[i].result.requests) << i;
-  }
-}
-
 TEST(Sweep, SummaryRecoversCalibration) {
   block::SweepConfig cfg;
   cfg.duration_s = 2.0;
@@ -76,7 +61,6 @@ TEST(Sweep, GroupSweepRunsToo) {
   cfg.queue_depths = {4};
   cfg.write_fractions = {1.0};
   cfg.duration_s = 2.0;
-  cfg.threads = 4;
   const auto points = block::run_sweep(group, cfg);
   EXPECT_EQ(points.size(), 4u);
   EXPECT_GT(points.front().result.bandwidth, 300.0 * kMBps);
