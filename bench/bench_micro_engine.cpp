@@ -81,9 +81,9 @@ void BM_EventQueueScheduleCancelChurn(benchmark::State& state) {
   sim::EventQueue q;
   q.schedule(1, [] {});  // live anchor so the queue never empties
   for (auto _ : state) {
-    const sim::EventId id = q.schedule(1'000'000, [] {});
-    q.cancel(id);
-    benchmark::DoNotOptimize(id);
+    const sim::EventHandle event = q.schedule(1'000'000, [] {});
+    q.cancel(event);
+    benchmark::DoNotOptimize(event);
   }
 }
 BENCHMARK(BM_EventQueueScheduleCancelChurn);

@@ -67,13 +67,13 @@ inline Measurement measure_schedule_cancel(std::size_t pairs_per_round,
   sim::EventQueue q;
   // One live far-future anchor so the queue is never empty.
   q.schedule(1, [] {});
-  std::vector<sim::EventId> ids(pairs_per_round);
+  std::vector<sim::EventHandle> events(pairs_per_round);
   const auto start = Clock::now();
   for (std::size_t r = 0; r < rounds; ++r) {
     for (std::size_t i = 0; i < pairs_per_round; ++i) {
-      ids[i] = q.schedule(static_cast<sim::SimTime>(1'000'000 + i), [] {});
+      events[i] = q.schedule(static_cast<sim::SimTime>(1'000'000 + i), [] {});
     }
-    for (std::size_t i = 0; i < pairs_per_round; ++i) q.cancel(ids[i]);
+    for (std::size_t i = 0; i < pairs_per_round; ++i) q.cancel(events[i]);
   }
   return measured(static_cast<std::uint64_t>(pairs_per_round) * rounds, start);
 }

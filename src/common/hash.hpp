@@ -3,9 +3,9 @@
 // streams, changelog accounting tables, campaign stream hashes, and
 // spiderfsck findings/state hashes.
 //
-// Every fold is inline and byte-at-a-time, so callers on the per-event path
-// (site_hash, ReplayRecorder::on_event) compile to the same loop they always
-// did, and every golden hash pinned against these folds stays put. Words
+// Every fold is constexpr, inline and byte-at-a-time: sim::Site hashes its
+// file and line at compile time, ReplayRecorder::on_event folds per event,
+// and every golden hash pinned against these folds stays put. Words
 // fold least-significant byte first; strings fold their bytes and nothing
 // else (append the length yourself when it must count).
 #pragma once
@@ -19,7 +19,7 @@ inline constexpr std::uint64_t kFnvOffsetBasis = 1469598103934665603ull;
 inline constexpr std::uint64_t kFnvPrime = 1099511628211ull;
 
 /// One FNV-1a step: xor `v` in, multiply by the prime. `v` is normally one
-/// byte; site_hash also steps a whole line number in.
+/// byte; sim::Site also steps a whole line number in.
 constexpr std::uint64_t fnv1a_step(std::uint64_t h, std::uint64_t v) {
   return (h ^ v) * kFnvPrime;
 }

@@ -88,7 +88,7 @@ void ChurnScenario::seed_population() {
 }
 
 void ChurnScenario::start() {
-  const std::source_location loc = std::source_location::current();
+  const sim::Site loc;
   for (std::size_t i = 0; i < shards_.size(); ++i) {
     Shard& shard = shards_[i];
     for (std::size_t a = 0; a < params_.actors_per_namespace; ++a) {
@@ -101,7 +101,7 @@ void ChurnScenario::start() {
 }
 
 void ChurnScenario::actor_step(std::size_t i, std::size_t remaining,
-                               std::source_location loc) {
+                               sim::Site loc) {
   if (remaining == 0) return;
   Shard& shard = shards_[i];
   one_op(shard, shard_sim(i).now());

@@ -22,7 +22,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <source_location>
 #include <vector>
 
 #include "block/raid.hpp"
@@ -116,8 +115,7 @@ class ChurnScenario {
 
   sim::Simulator& shard_sim(std::size_t i);
   static sim::SimTime jittered(Rng& rng, sim::SimTime mean);
-  void actor_step(std::size_t i, std::size_t remaining,
-                  std::source_location loc);
+  void actor_step(std::size_t i, std::size_t remaining, sim::Site loc);
   void one_op(Shard& shard, sim::SimTime now);
   void maybe_commit(Shard& shard);
 

@@ -74,7 +74,7 @@ sim::SimTime ScaleScenario::jittered(Rng& rng, sim::SimTime mean) {
 }
 
 void ScaleScenario::start() {
-  const std::source_location loc = std::source_location::current();
+  const sim::Site loc;
   const std::size_t clients = clients_per_zone();
   for (std::size_t z = 0; z < params_.zones; ++z) {
     Zone& zone = zones_[z];
@@ -88,7 +88,7 @@ void ScaleScenario::start() {
   }
 }
 
-void ScaleScenario::client_issue(std::size_t z, std::source_location loc) {
+void ScaleScenario::client_issue(std::size_t z, sim::Site loc) {
   Zone& zone = zones_[z];
   ++zone.totals.issued;
   const sim::SimTime service_time = jittered(zone.rng, params_.service);
@@ -96,7 +96,7 @@ void ScaleScenario::client_issue(std::size_t z, std::source_location loc) {
                           [this, z, loc] { client_complete(z, loc); }, loc);
 }
 
-void ScaleScenario::client_complete(std::size_t z, std::source_location loc) {
+void ScaleScenario::client_complete(std::size_t z, sim::Site loc) {
   Zone& zone = zones_[z];
   ++zone.totals.completed;
   zone.totals.bytes_moved += static_cast<double>(params_.request_bytes);
@@ -123,7 +123,7 @@ void ScaleScenario::client_complete(std::size_t z, std::source_location loc) {
 }
 
 void ScaleScenario::remote_serve(std::size_t z, sim::SimTime service_time,
-                                 std::source_location loc) {
+                                 sim::Site loc) {
   Zone& zone = zones_[z];
   ++zone.totals.remote_served;
   zone_sim(z).schedule_in(service_time,

@@ -18,7 +18,6 @@
 #pragma once
 
 #include <cstdint>
-#include <source_location>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -95,10 +94,9 @@ class ScaleScenario {
   sim::Simulator& zone_sim(std::size_t z);
   /// Jittered duration in [mean/2, 3*mean/2), drawn from `rng`.
   static sim::SimTime jittered(Rng& rng, sim::SimTime mean);
-  void client_issue(std::size_t z, std::source_location loc);
-  void client_complete(std::size_t z, std::source_location loc);
-  void remote_serve(std::size_t z, sim::SimTime service_time,
-                    std::source_location loc);
+  void client_issue(std::size_t z, sim::Site loc);
+  void client_complete(std::size_t z, sim::Site loc);
+  void remote_serve(std::size_t z, sim::SimTime service_time, sim::Site loc);
 
   ScaleParams params_;
   sim::ShardedSimulator& engine_;

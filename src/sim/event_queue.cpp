@@ -18,7 +18,7 @@ constexpr std::size_t kCompactMinHeap = 64;
 constexpr std::size_t kShrinkFactor = 8;
 }  // namespace
 
-EventId EventQueue::schedule(SimTime when, EventFn fn, std::uint64_t site) {
+EventHandle EventQueue::schedule(SimTime when, EventFn fn, std::uint64_t site) {
   const EventId id = next_id_++;
 
   // Grab a slab slot from the free list (or grow the slab — amortized, and
@@ -36,55 +36,10 @@ EventId EventQueue::schedule(SimTime when, EventFn fn, std::uint64_t site) {
   slot.id = id;
   slot.site = site;
 
-  // Record id -> slot in the paged index. Ids are dense, so the new id lands
-  // either in the newest page or in a fresh one (one 8 KiB allocation per
-  // 1024 events, amortized).
-  const std::uint64_t page_no = id >> kPageBits;
-  assert(page_no >= base_page_);
-  while (page_no - base_page_ >= pages_.size()) pages_.emplace_back(nullptr);
-  std::unique_ptr<IdPage>& page = pages_[page_no - base_page_];
-  if (page == nullptr) {
-    page = std::make_unique<IdPage>();
-    std::fill(std::begin(page->slot), std::end(page->slot), kNullSlot);
-  }
-  page->slot[id & kPageMask] = s;
-  ++page->live;
-
   heap_.push_back(Entry{when, id, s});
   std::push_heap(heap_.begin(), heap_.end(), later);
   ++live_;
-  return id;
-}
-
-std::uint32_t* EventQueue::index_cell(EventId id) {
-  if (id == 0 || id >= next_id_) return nullptr;
-  const std::uint64_t page_no = id >> kPageBits;
-  if (page_no < base_page_ || page_no - base_page_ >= pages_.size()) {
-    return nullptr;
-  }
-  IdPage* page = pages_[page_no - base_page_].get();
-  if (page == nullptr) return nullptr;
-  return &page->slot[id & kPageMask];
-}
-
-void EventQueue::release_id(EventId id) {
-  const std::uint64_t page_no = id >> kPageBits;
-  IdPage& page = *pages_[page_no - base_page_];
-  page.slot[id & kPageMask] = kNullSlot;
-  assert(page.live > 0);
-  --page.live;
-  // Release the page once every id it covers is both issued and dead; a
-  // partially issued page must stay — the next schedule() still writes to
-  // it. Then trim the window's dead prefix so the deque stays proportional
-  // to the live id span.
-  const EventId page_end = static_cast<EventId>(page_no + 1) << kPageBits;
-  if (page.live == 0 && page_end <= next_id_) {
-    pages_[page_no - base_page_].reset();
-  }
-  while (!pages_.empty() && pages_.front() == nullptr) {
-    pages_.pop_front();
-    ++base_page_;
-  }
+  return EventHandle{id, s};
 }
 
 void EventQueue::release_slot(std::uint32_t s) {
@@ -96,17 +51,15 @@ void EventQueue::release_slot(std::uint32_t s) {
   free_head_ = s;
 }
 
-bool EventQueue::cancel(EventId id) {
-  std::uint32_t* cell = index_cell(id);
-  if (cell == nullptr || *cell == kNullSlot) return false;
-  const std::uint32_t s = *cell;
-  assert(slots_[s].id == id);
-  release_id(id);
-  release_slot(s);
+bool EventQueue::cancel(EventHandle event) {
+  if (event.slot >= slots_.size() || slots_[event.slot].id != event.id) {
+    return false;
+  }
+  release_slot(event.slot);
   --live_;
-  // Cancelling the front entry (e.g. an event due *now*, during fault churn)
-  // must not leave a stale head: next_time()/pop() assume the front is live
-  // after their own sweep, and an eager drop keeps that sweep O(1) amortized.
+  // Cancelling the front entry (e.g. an event due now) must not leave a
+  // stale head: next_time()/pop() assume the front is live after their own
+  // sweep, and an eager drop keeps that sweep O(1) amortized.
   drop_cancelled();
   // Deeper stale entries stay behind; once they dominate, sweep them all so
   // memory stays proportional to live events.
@@ -149,7 +102,6 @@ EventQueue::Fired EventQueue::pop() {
   Slot& slot = slots_[e.slot];
   assert(slot.id == e.id);
   Fired fired{e.when, e.id, slot.site, std::move(slot.fn)};
-  release_id(e.id);
   release_slot(e.slot);
   --live_;
   return fired;

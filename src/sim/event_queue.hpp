@@ -9,15 +9,14 @@
 // its slot index, and the slot remembers which EventId currently owns it, so
 // a recycled slot can never satisfy a stale entry.
 //
-// cancel(id) resolves id -> slot through a paged direct-index (ids are
-// issued densely, so id -> slot is an array lookup inside a 1024-entry
-// page); fully dead pages are freed and the page window's dead prefix is
-// trimmed, which keeps index memory proportional to the *span* of live ids,
-// not the total ever scheduled. Cancellation stays lazy for the heap entry
-// but eager for the callback: cancel() destroys the stored Task immediately
-// (captured state is released right away) and stale heap entries are skipped
-// at pop time; when stale entries outnumber live ones the heap is compacted
-// in place, bounding memory under cancel-heavy flow rescheduling.
+// schedule() returns an EventHandle, the (id, slot) pair, and cancel() takes
+// it back: the same generation check makes a handle to a fired or cancelled
+// event a no-op, with no id -> slot lookup. Cancellation stays lazy for the
+// heap entry but eager for the callback: cancel() destroys the stored Task
+// immediately (captured state is released right away) and stale heap
+// entries are skipped at pop time; when stale entries outnumber live ones
+// the heap is compacted in place, bounding memory under cancel-heavy flow
+// rescheduling.
 //
 // Each event additionally carries a `site` hash identifying the scheduling
 // call site; the replay harness (sim/replay.hpp) folds it into the event
@@ -28,8 +27,6 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
-#include <memory>
 #include <vector>
 
 #include "sim/task.hpp"
@@ -39,6 +36,14 @@ namespace spider::sim {
 
 using EventId = std::uint64_t;
 using EventFn = Task;
+
+/// A scheduled event, as schedule() returns it and cancel() takes it: the
+/// event's id and the slab slot holding it. The default handle names no
+/// slot, so cancelling it is a no-op.
+struct EventHandle {
+  EventId id = 0;
+  std::uint32_t slot = 0xffffffffu;
+};
 
 class EventQueue {
  public:
@@ -50,14 +55,15 @@ class EventQueue {
     EventFn fn;
   };
 
-  /// Schedule fn at absolute time `when`. Returns an id usable with cancel().
+  /// Schedule fn at absolute time `when`. Returns a handle for cancel().
   /// `site` is an opaque call-site hash recorded for replay (0 if untracked).
-  EventId schedule(SimTime when, EventFn fn, std::uint64_t site = 0);
+  EventHandle schedule(SimTime when, EventFn fn, std::uint64_t site = 0);
 
   /// Cancel a pending event. The callback is destroyed immediately; the heap
   /// entry is dropped lazily (or at the next compaction). Cancelling an
-  /// already-fired or unknown id is a harmless no-op (returns false).
-  bool cancel(EventId id);
+  /// already-fired or already-cancelled event is a harmless no-op (returns
+  /// false), even after its slot has been reused.
+  bool cancel(EventHandle event);
 
   bool empty() const { return live_ == 0; }
   std::size_t size() const { return live_; }
@@ -93,16 +99,6 @@ class EventQueue {
     std::uint32_t next_free = kNullSlot;
   };
 
-  // id -> slot direct index, paged so dead ranges can be released. Page p
-  // covers ids [p << kPageBits, (p + 1) << kPageBits).
-  static constexpr std::size_t kPageBits = 10;
-  static constexpr std::size_t kPageSize = std::size_t{1} << kPageBits;
-  static constexpr std::size_t kPageMask = kPageSize - 1;
-  struct IdPage {
-    std::uint32_t slot[kPageSize];
-    std::uint32_t live = 0;
-  };
-
   static bool later(const Entry& a, const Entry& b) {
     if (a.when != b.when) return a.when > b.when;
     return a.id > b.id;
@@ -112,12 +108,6 @@ class EventQueue {
     return slots_[e.slot].id == e.id;
   }
 
-  /// Pointer to the index cell for `id`, or nullptr when the id was never
-  /// issued or its page has already been released (everything in it dead).
-  std::uint32_t* index_cell(EventId id);
-  /// Mark `id` dead in the index; free its page when nothing in the page is
-  /// live anymore and trim the dead prefix of the page window.
-  void release_id(EventId id);
   /// Return the slot for a finished/cancelled event to the free list.
   void release_slot(std::uint32_t s);
 
@@ -129,8 +119,6 @@ class EventQueue {
   mutable std::vector<Entry> heap_;  // min-heap via `later` comparator
   std::vector<Slot> slots_;
   std::uint32_t free_head_ = kNullSlot;
-  std::deque<std::unique_ptr<IdPage>> pages_;  // window [base_page_, ...)
-  std::uint64_t base_page_ = 0;
   EventId next_id_ = 1;
   std::size_t live_ = 0;
 };

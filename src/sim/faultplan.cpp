@@ -257,7 +257,7 @@ bool FaultInjector::bound(FaultKind kind) const {
   return static_cast<bool>(bindings_[static_cast<std::size_t>(kind)].apply);
 }
 
-void FaultInjector::arm(const FaultPlan& plan, std::source_location loc) {
+void FaultInjector::arm(const FaultPlan& plan, Site loc) {
   // Validate the whole plan before scheduling anything, so a throwing arm()
   // never leaves a half-armed plan behind.
   for (const Injection& inj : plan.injections) validate(inj);
@@ -276,7 +276,7 @@ void FaultInjector::validate(const Injection& injection) const {
   }
 }
 
-void FaultInjector::inject(const Injection& injection, std::source_location loc) {
+void FaultInjector::inject(const Injection& injection, Site loc) {
   validate(injection);
   const SimTime when = std::max(injection.at, sim_.now());
   if (injection.trigger == TriggerKind::kAtTime) {
@@ -289,7 +289,7 @@ void FaultInjector::inject(const Injection& injection, std::source_location loc)
   }
 }
 
-void FaultInjector::fire(const Injection& injection, std::source_location loc) {
+void FaultInjector::fire(const Injection& injection, Site loc) {
   const auto& binding = bindings_[static_cast<std::size_t>(injection.kind)];
   binding.apply(injection);
   log_.push_back(Fired{sim_.now(), injection.kind, /*revert=*/false});
@@ -306,7 +306,7 @@ void FaultInjector::fire(const Injection& injection, std::source_location loc) {
   }
 }
 
-void FaultInjector::poll_trigger(Injection injection, std::source_location loc) {
+void FaultInjector::poll_trigger(Injection injection, Site loc) {
   const auto& predicate = triggers_[static_cast<std::size_t>(injection.trigger)];
   if (predicate(injection)) {
     fire(injection, loc);

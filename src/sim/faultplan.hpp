@@ -21,7 +21,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <source_location>
 #include <string>
 #include <vector>
 
@@ -137,13 +136,11 @@ class FaultInjector {
 
   /// Schedule every injection in the plan. Throws std::logic_error if an
   /// injection's kind (or trigger) has no binding.
-  void arm(const FaultPlan& plan,
-           std::source_location loc = std::source_location::current());
+  void arm(const FaultPlan& plan, Site loc = {});
 
-  /// Schedule one injection. The captured source_location is the replay
-  /// site carried by the scheduled event(s).
-  void inject(const Injection& injection,
-              std::source_location loc = std::source_location::current());
+  /// Schedule one injection. The captured Site is the replay site carried
+  /// by the scheduled event(s).
+  void inject(const Injection& injection, Site loc = {});
 
   /// One fired apply/revert, in firing order (the campaign log).
   struct Fired {
@@ -162,8 +159,8 @@ class FaultInjector {
   };
 
   void validate(const Injection& injection) const;
-  void fire(const Injection& injection, std::source_location loc);
-  void poll_trigger(Injection injection, std::source_location loc);
+  void fire(const Injection& injection, Site loc);
+  void poll_trigger(Injection injection, Site loc);
 
   Simulator& sim_;
   Binding bindings_[kFaultKindCount];

@@ -38,10 +38,10 @@ FlowId FlowNetwork::start_flow(FlowDesc desc) {
   }
   const FlowId id = next_flow_id_++;
   auto activate = [this, id, desc = std::move(desc)]() mutable {
+    if (desc.latency > 0) pending_.erase(find_pending(id));
     advance_progress();
     for (const auto& hop : desc.path) ++stats_[hop.resource].flows_seen;
-    // Latency can activate flows out of id order.
-    flows_.insert(lower_bound(id),
+    flows_.insert(lower_bound(id),  // latency can activate out of id order
                   ActiveFlow{id, std::move(desc.path), desc.size, desc.size,
                              desc.rate_cap, 0.0, std::move(desc.on_complete)});
     inputs_changed_ = true;
@@ -49,7 +49,7 @@ FlowId FlowNetwork::start_flow(FlowDesc desc) {
   };
   if (desc.latency > 0) {
     const SimTime latency = desc.latency;
-    sim_.schedule_in(latency, std::move(activate));
+    pending_.push_back({id, sim_.schedule_in(latency, std::move(activate))});
   } else {
     activate();
   }
@@ -57,12 +57,15 @@ FlowId FlowNetwork::start_flow(FlowDesc desc) {
 }
 
 void FlowNetwork::cancel_flow(FlowId id) {
-  const auto it = find(id);
-  if (it == flows_.end()) return;
-  advance_progress();
-  flows_.erase(it);
-  inputs_changed_ = true;
-  resolve();
+  if (const auto p = find_pending(id); p != pending_.end()) {
+    sim_.cancel(p->activation);
+    pending_.erase(p);
+  } else if (const auto it = find(id); it != flows_.end()) {
+    advance_progress();
+    flows_.erase(it);
+    inputs_changed_ = true;
+    resolve();
+  }
 }
 
 double FlowNetwork::flow_rate(FlowId id) const {
@@ -102,10 +105,7 @@ void FlowNetwork::advance_progress() {
 }
 
 void FlowNetwork::resolve() {
-  if (completion_scheduled_) {  // the stale completion
-    sim_.cancel(completion_event_);
-    completion_scheduled_ = false;
-  }
+  sim_.cancel(completion_);  // the stale completion; a no-op once it fired
   // Unchanged inputs give bit-identical rates: only completion times move.
   if (inputs_changed_) {
     solve();
@@ -123,8 +123,7 @@ void FlowNetwork::resolve() {
   const double dt_ns = min_completion_s * static_cast<double>(kSecond);
   if (dt_ns < static_cast<double>(headroom)) {  // so the cast and now + dt fit
     const SimTime dt = std::max<SimTime>(static_cast<SimTime>(dt_ns), 1);
-    completion_event_ = sim_.schedule_in(dt, [this] { on_completion_event(); });
-    completion_scheduled_ = true;
+    completion_ = sim_.schedule_in(dt, [this] { on_completion_event(); });
   }
 }
 
@@ -154,7 +153,6 @@ void FlowNetwork::solve() {
 }
 
 void FlowNetwork::on_completion_event() {
-  completion_scheduled_ = false;
   advance_progress();
   // Collect finished flows (remaining ~ 0), fire callbacks after removing
   // them so callbacks may start new flows re-entrantly. The id-ordered walk
@@ -181,6 +179,14 @@ void FlowNetwork::on_completion_event() {
     if (cb) cb(id, now);
   }
   resolve();
+}
+
+std::vector<FlowNetwork::PendingFlow>::iterator FlowNetwork::find_pending(
+    FlowId id) {
+  const auto it = std::lower_bound(
+      pending_.begin(), pending_.end(), id,
+      [](const PendingFlow& p, FlowId v) { return p.id < v; });
+  return it != pending_.end() && it->id == id ? it : pending_.end();
 }
 
 }  // namespace spider::sim

@@ -68,7 +68,8 @@ class FlowNetwork {
 
   /// Start a flow now; completion fires after latency + transfer.
   FlowId start_flow(FlowDesc desc);
-  /// Abort a flow (no completion callback). No-op for unknown ids.
+  /// Abort a flow, active or still in its latency window (no completion
+  /// callback). No-op for unknown ids.
   void cancel_flow(FlowId id);
 
   std::size_t active_flows() const { return flows_.size(); }
@@ -91,11 +92,19 @@ class FlowNetwork {
     std::function<void(FlowId, SimTime)> on_complete;
   };
 
+  /// A flow still inside its latency window, and the event activating it.
+  struct PendingFlow {
+    FlowId id;
+    EventHandle activation;
+  };
+
   using FlowIter = std::vector<ActiveFlow>::const_iterator;
   /// First flow with id >= `id`.
   FlowIter lower_bound(FlowId id) const;
   /// The flow with `id`, or flows_.end().
   FlowIter find(FlowId id) const;
+  /// The pending flow with `id`, or pending_.end().
+  std::vector<PendingFlow>::iterator find_pending(FlowId id);
   /// Integrate progress of all active flows since last_update_.
   void advance_progress();
   /// Re-solve rates if the flow set or a capacity changed, then schedule the
@@ -113,6 +122,8 @@ class FlowNetwork {
   /// insertion/cancellation history. Float accumulation order is therefore a
   /// function of the live flow set alone.
   std::vector<ActiveFlow> flows_;
+  /// Flows not yet active, sorted by FlowId like flows_.
+  std::vector<PendingFlow> pending_;
   /// The flow set or a capacity changed since the last solve.
   bool inputs_changed_ = false;
   MaxMinSolver solver_;
@@ -123,8 +134,7 @@ class FlowNetwork {
   SolveCounters counters_;
   FlowId next_flow_id_ = 1;
   SimTime last_update_ = 0;
-  EventId completion_event_ = 0;
-  bool completion_scheduled_ = false;
+  EventHandle completion_;
   double aggregate_rate_ = 0.0;
   double total_delivered_ = 0.0;
 };

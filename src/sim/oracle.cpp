@@ -5,6 +5,7 @@
 #include <sstream>
 #include <stdexcept>
 
+#include "common/json.hpp"
 #include "sim/flow_network.hpp"
 
 namespace spider::sim {
@@ -112,18 +113,6 @@ class FlowConservationOracle final : public Oracle {
   std::size_t checked_ = 0;  ///< resources seen at the previous sweep
 };
 
-void json_escape(std::ostringstream& os, const std::string& s) {
-  for (char c : s) {
-    switch (c) {
-      case '"': os << "\\\""; break;
-      case '\\': os << "\\\\"; break;
-      case '\n': os << "\\n"; break;
-      case '\t': os << "\\t"; break;
-      default: os << c;
-    }
-  }
-}
-
 }  // namespace
 
 std::unique_ptr<Oracle> make_oracle(std::string name, OracleCheckFn check) {
@@ -147,8 +136,7 @@ std::vector<OracleViolation> OracleSuite::recheck_now() {
   return found;
 }
 
-void OracleSuite::schedule_checks(SimTime interval, SimTime until,
-                                  std::source_location loc) {
+void OracleSuite::schedule_checks(SimTime interval, SimTime until, Site loc) {
   if (interval <= 0) throw std::invalid_argument("oracle interval must be > 0");
   const SimTime first = std::min(sim_.now() + interval, until);
   sim_.schedule_at(
@@ -156,8 +144,7 @@ void OracleSuite::schedule_checks(SimTime interval, SimTime until,
       loc);
 }
 
-void OracleSuite::tick(SimTime interval, SimTime until,
-                       std::source_location loc) {
+void OracleSuite::tick(SimTime interval, SimTime until, Site loc) {
   check_now();
   const SimTime next = sim_.now() + interval;
   if (sim_.now() >= until) return;
@@ -187,9 +174,9 @@ std::string violations_json(const std::vector<OracleViolation>& violations) {
   for (std::size_t i = 0; i < violations.size(); ++i) {
     if (i > 0) os << ", ";
     os << "{\"oracle\": \"";
-    json_escape(os, violations[i].oracle);
+    os << json_escape(violations[i].oracle);
     os << "\", \"at_s\": " << to_seconds(violations[i].at) << ", \"detail\": \"";
-    json_escape(os, violations[i].detail);
+    os << json_escape(violations[i].detail);
     os << "\"}";
   }
   os << "]";

@@ -19,7 +19,6 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <source_location>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -78,9 +77,7 @@ class OracleSuite {
   /// sweep cadence is part of the replay stream; the caller's location is
   /// threaded through every repeating tick so each sweep chain keeps a
   /// distinct replay site (spiderlint L7).
-  void schedule_checks(
-      SimTime interval, SimTime until,
-      std::source_location loc = std::source_location::current());
+  void schedule_checks(SimTime interval, SimTime until, Site loc = {});
 
   bool clean() const { return violations_.empty(); }
   const std::vector<OracleViolation>& violations() const { return violations_; }
@@ -88,7 +85,7 @@ class OracleSuite {
   std::vector<std::string> fired_oracles() const;
 
  private:
-  void tick(SimTime interval, SimTime until, std::source_location loc);
+  void tick(SimTime interval, SimTime until, Site loc);
 
   Simulator& sim_;
   std::vector<std::unique_ptr<Oracle>> oracles_;

@@ -108,7 +108,7 @@ const Simulator& ShardedSimulator::shard(ShardId s) const {
 }
 
 void ShardedSimulator::schedule_cross(ShardId from, ShardId to, SimTime when,
-                                      EventFn fn, std::source_location loc) {
+                                      EventFn fn, Site site) {
   const std::size_t s = shards_.size();
   if (from >= s || to >= s) {
     throw std::out_of_range("schedule_cross: shard index out of range");
@@ -122,14 +122,14 @@ void ShardedSimulator::schedule_cross(ShardId from, ShardId to, SimTime when,
         << " to shard " << to << " (when=" << when
         << "ns, current epoch ends at " << epoch_end_
         << "ns, lookahead=" << cfg_.lookahead << "ns; scheduled from "
-        << source_basename(loc.file_name()) << ":" << loc.line() << ")";
+        << site.file << ":" << site.line << ")";
     throw std::logic_error(msg.str());
   }
   // Only the lane currently executing shard `from` (or the caller outside a
   // run) touches the sender's holder, so the mailbox write needs no lock.
   Shard& sender = shards_[from];
   Outbox& out = sender.out[write_parity_];
-  out.rows[to].push_back(CrossMsg{when, std::move(fn), site_hash(loc)});
+  out.rows[to].push_back(CrossMsg{when, std::move(fn), site});
   out.earliest = std::min(out.earliest, when);
   ++sender.sent;
 }
@@ -140,7 +140,7 @@ void ShardedSimulator::deliver(std::size_t to, unsigned parity) {
   Simulator& target = shards_[to].sim;
   for (Shard& from : shards_) {
     for (CrossMsg& msg : from.out[parity].rows[to]) {
-      target.schedule_sited(msg.when, std::move(msg.fn), msg.site);
+      target.schedule_at(msg.when, std::move(msg.fn), msg.site);
     }
   }
 }

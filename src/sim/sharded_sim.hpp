@@ -47,7 +47,6 @@
 #include <cstdint>
 #include <exception>
 #include <limits>
-#include <source_location>
 #include <vector>
 
 #include "common/annotations.hpp"
@@ -127,7 +126,7 @@ class ShardedSimulator {
   /// Same-shard sends (from == to) are legal and still barrier-deferred, so
   /// the stream stays independent of how domains map onto shards.
   void schedule_cross(ShardId from, ShardId to, SimTime when, EventFn fn,
-                      std::source_location loc = std::source_location::current());
+                      Site site = {});
 
   /// Run all shards in lockstep epochs until every queue and mailbox drains
   /// or `until` is passed. Horizon semantics match Simulator::run: events
@@ -158,7 +157,7 @@ class ShardedSimulator {
   struct CrossMsg {
     SimTime when = 0;
     EventFn fn;
-    std::uint64_t site = 0;
+    Site site;  ///< the schedule_cross call, named again at delivery
   };
 
   /// The mail one shard sent during one epoch: a row per target shard, and

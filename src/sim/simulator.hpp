@@ -6,6 +6,7 @@
 #include <source_location>
 
 #include "common/function_ref.hpp"
+#include "common/hash.hpp"
 #include "sim/event_queue.hpp"
 #include "sim/time.hpp"
 
@@ -19,31 +20,49 @@ namespace spider::sim {
 /// must outlive the simulator's run.
 using EventObserver = FunctionRef<void(SimTime, EventId, std::uint64_t)>;
 
-/// Stable hash of a scheduling call site (file basename + line), folded into
-/// the replay stream so a divergence names the code that scheduled the event.
-/// Memoised per thread on the file_name() pointer and the line; the value
-/// does not depend on the memo.
-std::uint64_t site_hash(const std::source_location& loc);
-
 /// The basename of a path, for checkout-independent diagnostics.
-const char* source_basename(const char* path);
+constexpr const char* source_basename(const char* path) {
+  const char* name = path;
+  for (const char* p = path; *p; ++p) {
+    if (*p == '/' || *p == '\\') name = p + 1;
+  }
+  return name;
+}
+
+/// A scheduling call site: file basename, line, and their stable hash, which
+/// the replay stream folds in so a divergence names the code that scheduled
+/// the event. Built only at compile time: a defaulted `Site site = {}`
+/// parameter captures the caller's line, and the compiler hashes it.
+struct Site {
+  /// FNV-1a over the basename's bytes, then one step folding in the line.
+  /// Hashing contents (not the pointer) and dropping the directory make the
+  /// value reproducible across runs, builds and checkouts.
+  std::uint64_t hash;
+  const char* file;  ///< basename
+  std::uint_least32_t line;
+
+  consteval Site(std::source_location loc = std::source_location::current())
+      : hash(fnv1a_step(fnv1a_bytes(kFnvOffsetBasis,
+                                    source_basename(loc.file_name())),
+                        loc.line())),
+        file(source_basename(loc.file_name())),
+        line(loc.line()) {}
+};
+// Three event lambdas carry a Site plus three words and must stay within
+// Task's 48-byte inline buffer.
+static_assert(sizeof(Site) == 24);
 
 class Simulator {
  public:
   SimTime now() const { return now_; }
 
   /// Schedule at an absolute time (must be >= now()).
-  EventId schedule_at(SimTime when, EventFn fn,
-                      std::source_location loc = std::source_location::current());
+  EventHandle schedule_at(SimTime when, EventFn fn, Site site = {});
   /// Schedule `dt` after now (dt >= 0).
-  EventId schedule_in(SimTime dt, EventFn fn,
-                      std::source_location loc = std::source_location::current());
-  /// Schedule with a precomputed scheduling-site hash (see site_hash). The
-  /// sharded engine uses this when transferring a cross-shard mailbox
-  /// message into the target queue, so the replay stream still names the
-  /// original schedule_cross call site rather than the drain loop.
-  EventId schedule_sited(SimTime when, EventFn fn, std::uint64_t site);
-  bool cancel(EventId id) { return queue_.cancel(id); }
+  EventHandle schedule_in(SimTime dt, EventFn fn, Site site = {});
+  /// Cancel a pending event; a no-op (false) once it has fired or been
+  /// cancelled.
+  bool cancel(EventHandle event) { return queue_.cancel(event); }
 
   /// Run until the queue drains or `until` is reached, whichever is first.
   /// Events with time <= `until` execute (the horizon is inclusive).

@@ -1,13 +1,13 @@
 // Fault-campaign engine (campaign.hpp). Each campaign owns one serial
 // sim::Simulator; spiderfault --jobs runs whole campaigns side by side.
 //
-// Editing note: a replay site is a file basename plus a line
-// (sim::site_hash) and every verdict's replay_hash folds the sites in. The
-// schedule calls in start_rebuild(), every() and prepare() therefore sit
-// on fixed lines of this file: moving one changes every replay_hash even
-// when behaviour is unchanged. Keep edits above them line-neutral, or
-// re-pin the replay hashes on purpose; stream_hash, the golden pin, has no
-// sites and does not move.
+// Editing note: a replay site is a file basename plus a line (sim::Site)
+// and every verdict's replay_hash folds the sites in. The schedule calls
+// in start_rebuild(), every() and prepare() therefore sit on fixed lines
+// of this file (390, 535, 537, 626 and 627): moving one changes every
+// replay_hash even when behaviour is unchanged. Keep edits above them
+// line-neutral, or re-pin the replay hashes on purpose; stream_hash, the
+// golden pin, has no sites and does not move.
 
 #include "tools/faultcli/campaign.hpp"
 
@@ -15,6 +15,7 @@
 #include <sstream>
 
 #include "common/hash.hpp"
+#include "common/json.hpp"
 #include "fs/recovery.hpp"
 
 namespace spider::tools {
@@ -36,25 +37,21 @@ void fire(std::vector<sim::OracleViolation>& out, std::string oracle,
       sim::OracleViolation{std::move(oracle), now, std::move(detail)});
 }
 
-void json_escape(std::ostringstream& os, const std::string& s) {
-  for (char c : s) {
-    switch (c) {
-      case '"': os << "\\\""; break;
-      case '\\': os << "\\\\"; break;
-      case '\n': os << "\\n"; break;
-      case '\t': os << "\\t"; break;
-      default: os << c;
+/// Fold one fsck stage outcome into a verdict's repair section.
+void fill_repair(RunVerdict& verdict, const FaultCampaign::FsckOutcome& out) {
+  verdict.repair.ran = true;
+  verdict.repair.findings = out.report.findings.size();
+  verdict.repair.repairs = out.report.repairs_applied;
+  for (const Finding& f : out.report.findings) {
+    const std::string name(finding_kind_name(f.kind));
+    if (verdict.repair.kinds.empty() || verdict.repair.kinds.back() != name) {
+      verdict.repair.kinds.push_back(name);
     }
   }
-}
-
-std::string to_hex(std::uint64_t v) {
-  static constexpr char kDigits[] = "0123456789abcdef";
-  std::string out = "0x";
-  for (int shift = 60; shift >= 0; shift -= 4) {
-    out += kDigits[(v >> shift) & 0xf];
-  }
-  return out;
+  verdict.repair.findings_hash = out.report.findings_hash;
+  verdict.repair.state_hash = out.report.state_hash;
+  verdict.repair.post_violations = out.post_violations.size();
+  verdict.repair.post_clean = out.post_clean();
 }
 
 }  // namespace
@@ -283,7 +280,7 @@ sim::PlanBounds campaign_bounds(const CampaignConfig& cfg) {
 }
 
 // Site-free on purpose: a replay site is a file basename and line
-// (sim::site_hash), so replay_hash moves whenever a schedule call moves to
+// (sim::Site), so replay_hash moves whenever a schedule call moves to
 // another line, even with behaviour unchanged. Folding only (when, id) makes
 // this hash move only when the simulated behaviour does, which is why the
 // golden traces (tests/incident_golden_test.cpp) pin it.
@@ -298,9 +295,8 @@ std::uint64_t stream_hash(const sim::ReplayRecorder& recorder) {
 
 std::string verdict_json(const RunVerdict& verdict) {
   std::ostringstream os;
-  os << "{\"plan\": \"";
-  json_escape(os, verdict.plan);
-  os << "\", \"seed\": " << verdict.seed
+  os << "{\"plan\": \"" << json_escape(verdict.plan)
+     << "\", \"seed\": " << verdict.seed
      << ", \"replay_hash\": \"" << to_hex(verdict.replay_hash)
      << "\", \"stream_hash\": \"" << to_hex(verdict.stream_hash)
      << "\", \"events\": " << verdict.events
@@ -316,9 +312,7 @@ std::string verdict_json(const RunVerdict& verdict) {
        << ", \"repairs\": " << verdict.repair.repairs << ", \"kinds\": [";
     for (std::size_t i = 0; i < verdict.repair.kinds.size(); ++i) {
       if (i > 0) os << ", ";
-      os << "\"";
-      json_escape(os, verdict.repair.kinds[i]);
-      os << "\"";
+      os << "\"" << json_escape(verdict.repair.kinds[i]) << "\"";
     }
     os << "], \"findings_hash\": \"" << to_hex(verdict.repair.findings_hash)
        << "\", \"state_hash\": \"" << to_hex(verdict.repair.state_hash)
@@ -329,6 +323,12 @@ std::string verdict_json(const RunVerdict& verdict) {
   os << ", \"violations\": " << sim::violations_json(verdict.violations)
      << "}";
   return os.str();
+}
+
+RunVerdict run_campaign(const sim::FaultPlan& plan, std::uint64_t seed,
+                        const CampaignConfig& cfg) {
+  FaultCampaign campaign(plan, seed, cfg);
+  return campaign.run();
 }
 
 // --- FaultCampaign ---------------------------------------------------------
@@ -651,33 +651,6 @@ RunVerdict FaultCampaign::finish() {
   verdict.violations = suite_.violations();
   return verdict;
 }
-
-RunVerdict run_campaign(const sim::FaultPlan& plan, std::uint64_t seed,
-                        const CampaignConfig& cfg) {
-  FaultCampaign campaign(plan, seed, cfg);
-  return campaign.run();
-}
-
-namespace {
-
-/// Fold one fsck stage outcome into a verdict's repair section.
-void fill_repair(RunVerdict& verdict, const FaultCampaign::FsckOutcome& out) {
-  verdict.repair.ran = true;
-  verdict.repair.findings = out.report.findings.size();
-  verdict.repair.repairs = out.report.repairs_applied;
-  for (const Finding& f : out.report.findings) {
-    const std::string name(finding_kind_name(f.kind));
-    if (verdict.repair.kinds.empty() || verdict.repair.kinds.back() != name) {
-      verdict.repair.kinds.push_back(name);
-    }
-  }
-  verdict.repair.findings_hash = out.report.findings_hash;
-  verdict.repair.state_hash = out.report.state_hash;
-  verdict.repair.post_violations = out.post_violations.size();
-  verdict.repair.post_clean = out.post_clean();
-}
-
-}  // namespace
 
 RunVerdict run_campaign_checked(const sim::FaultPlan& plan, std::uint64_t seed,
                                 const CampaignConfig& cfg) {

@@ -1,8 +1,9 @@
 #include "tools/lint/report.hpp"
 
-#include <cstdio>
 #include <map>
 #include <sstream>
+
+#include "common/json.hpp"
 
 namespace spider::lint {
 
@@ -47,29 +48,6 @@ std::string render_text(const LintReport& report, bool fix_hints) {
     }
   }
   return out.str();
-}
-
-std::string json_escape(std::string_view s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      case '\r': out += "\\r"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
 }
 
 std::string render_sarif(const LintReport& report) {

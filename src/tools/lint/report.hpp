@@ -43,7 +43,4 @@ std::string render_json(const LintReport& report);
 /// as given (relative when the lint was invoked with relative paths).
 std::string render_sarif(const LintReport& report);
 
-/// Escape a string for embedding in a JSON string literal.
-std::string json_escape(std::string_view s);
-
 }  // namespace spider::lint

@@ -44,9 +44,9 @@ const std::vector<RuleInfo> kRules = {
      "schedule()/reschedule()/inject()/arm() without a scheduling site: "
      "replay divergence cannot be localized to the call site",
      "site-ok",
-     "pass a std::source_location (or site hash) through the scheduling "
-     "call, or use Simulator::schedule_at/schedule_in (and "
-     "FaultInjector::inject/arm) which capture it automatically"},
+     "pass a sim::Site (or site hash) through the scheduling call, or use "
+     "Simulator::schedule_at/schedule_in (and FaultInjector::inject/arm) "
+     "which capture it automatically"},
     {"L5", "layer-violation", Severity::kError,
      "include edge points up the architectural layering "
      "(common -> sim -> {block,fs,net} -> workload -> core -> {tools,infra}) "
@@ -64,13 +64,12 @@ const std::vector<RuleInfo> kRules = {
      "make every caller hold the lock"},
     {"L7", "schedule-site-flow", Severity::kError,
      "schedule_at()/schedule_in()/schedule_cross() called from a non-public "
-     "helper without forwarding an explicit site: the defaulted "
-     "std::source_location collapses every event from this helper to one "
-     "site",
+     "helper without forwarding an explicit site: the defaulted sim::Site "
+     "collapses every event from this helper to one site",
      "flow-ok",
-     "thread a std::source_location parameter from the public entry point "
-     "down to the scheduling call (see Simulator::schedule_at's and "
-     "ShardedSimulator::schedule_cross's defaulted loc arguments)"},
+     "thread a sim::Site parameter from the public entry point down to the "
+     "scheduling call (see Simulator::schedule_at's and "
+     "ShardedSimulator::schedule_cross's defaulted site arguments)"},
     {"L8", "calibration-constant", Severity::kWarning,
      "bare numeric literal >= 1000 inside a function body in "
      "src/{block,fs,net}: bandwidth/latency/size calibration constants must "
@@ -107,19 +106,20 @@ const std::vector<RuleInfo> kRules = {
      "min_lookahead) or the engine's lookahead()/epoch_end() instead of a "
      "literal"},
     {"L12", "pool-capture-discipline", Severity::kError,
-     "closure handed to parallel_for/submit/submit_to captures by "
-     "reference state that is neither SPIDER_GUARDED_BY a mutex, "
-     "std::atomic, SPIDER_SHARD_OWNED, nor a join-protected local",
+     "closure handed to parallel_for/submit captures by reference state "
+     "that is neither SPIDER_GUARDED_BY a mutex, std::atomic, "
+     "SPIDER_SHARD_OWNED, nor a join-protected local",
      "pool-ok",
      "capture by value, guard the member (SPIDER_GUARDED_BY + lock, or "
-     "std::atomic), or join the pool (wait_idle()/condition-variable wait "
-     "in the submitting function) before captured locals go out of scope"},
+     "std::atomic), or join the submitted work (a latch or "
+     "condition-variable .wait() in the submitting function) before "
+     "captured locals go out of scope"},
 };
 
 /// True when a flattened argument list carries a scheduling site.
 bool args_carry_site(std::string_view args) {
   return args.find("site") != std::string_view::npos ||
-         args.find("source_location") != std::string_view::npos ||
+         find_word(args, "Site") != std::string_view::npos ||
          find_word(args, "loc") != std::string_view::npos;
 }
 
@@ -327,9 +327,9 @@ void run_l4(const SourceFile& file, const TokenStream& stream,
 
     // Declarations/definitions of scheduling entry points taking a callback
     // (or a fault-plan payload, which compiles into scheduled events): the
-    // parameter list must carry a source_location or site hash. inject/arm
-    // are checked at the declaration only — call sites legitimately rely on
-    // the defaulted source_location::current() argument.
+    // parameter list must carry a Site or site hash. inject/arm are checked
+    // at the declaration only — call sites legitimately rely on the
+    // defaulted Site argument.
     const bool qualified = i >= 1 && is_punct(t[i - 1], "::");
     const bool after_type = i >= 1 && t[i - 1].kind == TokKind::kIdent;
     if (qualified || after_type) {
@@ -489,8 +489,8 @@ void run_l7(const SourceFile& file, const TokenStream& stream,
           fn.cls.empty() ? fn.name : fn.cls + "::" + fn.name;
       add_finding(out, info, file.path, t[i].line, t[i].col,
                   t[i].text + "() in non-public '" + where +
-                      "' relies on the defaulted source_location — thread "
-                      "the site from the public entry point");
+                      "' relies on the defaulted sim::Site — thread the "
+                      "site from the public entry point");
     }
   }
 }
@@ -633,12 +633,11 @@ const FunctionSym* enclosing_function(const FileSymbols& syms, std::size_t i) {
 }
 
 /// True when the function body shows a join the submitted work cannot
-/// outlive: a wait_idle() call or a condition-variable `.wait(` on it.
+/// outlive: a latch or condition-variable `.wait(` on it.
 bool body_has_join(const std::vector<Tok>& t, const FunctionSym& fn) {
   for (std::size_t i = fn.body_begin; i + 1 < fn.body_end && i + 1 < t.size();
        ++i) {
     if (t[i].kind != TokKind::kIdent) continue;
-    if (t[i].text == "wait_idle") return true;
     if (t[i].text == "wait" && is_punct(t[i + 1], "(") && i >= 1 &&
         (is_punct(t[i - 1], ".") || is_punct(t[i - 1], "->"))) {
       return true;
@@ -688,8 +687,7 @@ void run_l9(const SourceFile& file, const TokenStream& stream,
     if (t[i].kind != TokKind::kIdent || !is_punct(t[i + 1], "(")) continue;
     const std::string& name = t[i].text;
     if (name != "schedule_at" && name != "schedule_in" &&
-        name != "schedule_cross" && name != "schedule_sited" &&
-        name != "Task") {
+        name != "schedule_cross" && name != "Task") {
       continue;
     }
     const std::size_t close = matching_close(t, i + 1);
@@ -1127,10 +1125,10 @@ void run_l12(const SourceFile& file, const TokenStream& stream,
     if (t[i].kind != TokKind::kIdent || !is_punct(t[i + 1], "(")) continue;
     const std::string& name = t[i].text;
     const bool forkjoin = name == "parallel_for";
-    const bool pool_submit = name == "submit" || name == "submit_to";
+    const bool pool_submit = name == "submit";
     if (!forkjoin && !pool_submit) continue;
-    // submit/submit_to only as member calls — free functions of that name
-    // elsewhere are not the pool.
+    // submit only as a member call — free functions of that name elsewhere
+    // are not the pool.
     if (pool_submit &&
         (i == 0 || (!is_punct(t[i - 1], ".") && !is_punct(t[i - 1], "->")))) {
       continue;

@@ -17,8 +17,8 @@
 //       must use the units.hpp vocabulary types instead.
 //       Suppress: // spiderlint: units-ok
 //   L4 replay-site          (error)   bare schedule()/reschedule() entry
-//       points must carry the scheduling site (std::source_location or a
-//       site hash) so replay divergence stays localizable.
+//       points must carry the scheduling site (a sim::Site or a site hash)
+//       so replay divergence stays localizable.
 //       Suppress: // spiderlint: site-ok
 //   L5 layer-violation      (error)   the include graph must respect the
 //       architectural layering common -> sim -> {block,fs,net} -> workload
@@ -29,7 +29,7 @@
 //       scoped_lock/m.lock()) or are annotated SPIDER_REQUIRES(m).
 //       Suppress: // spiderlint: lock-ok
 //   L7 schedule-site-flow   (error)   Simulator::schedule_at/schedule_in
-//       default their std::source_location argument to the immediate caller;
+//       default their sim::Site argument to the immediate caller;
 //       calling them from a private/protected helper (or an anonymous-
 //       namespace function) without forwarding an explicit site collapses
 //       every event from that helper to one site. Thread the location from
@@ -40,7 +40,7 @@
 //       header (or units.hpp) so provenance is greppable.
 //       Suppress: // spiderlint: calib-ok
 //   L9 shard-escape         (error)   a closure handed to a schedule call
-//       (schedule_at/schedule_in/schedule_cross/schedule_sited/sim::Task)
+//       (schedule_at/schedule_in/schedule_cross/sim::Task)
 //       must not capture by reference — or reach through `this`/helper
 //       calls — a member annotated SPIDER_SHARD_OWNED: the event runs on a
 //       shard lane, and only the owning shard's events may touch the state.
@@ -58,11 +58,11 @@
 //       hop floor (105 ns) are flagged as certain breaches.
 //       Suppress: // spiderlint: lookahead-ok
 //   L12 pool-capture-discipline (error) closures handed to parallel_for/
-//       ThreadPool::submit/submit_to must not capture by reference members
-//       lacking SPIDER_GUARDED_BY/std::atomic/SPIDER_SHARD_OWNED; locals
-//       are exempt under a visible join (parallel_for always joins;
-//       submit needs wait_idle()/a condition-variable wait in the same
-//       function). Suppress: // spiderlint: pool-ok
+//       ThreadPool::submit must not capture by reference members lacking
+//       SPIDER_GUARDED_BY/std::atomic/SPIDER_SHARD_OWNED; locals are exempt
+//       under a visible join (parallel_for always joins; submit needs a
+//       latch or condition-variable `.wait(` in the same function).
+//       Suppress: // spiderlint: pool-ok
 //
 // A suppression is a trailing comment on the flagged line, a comment-only
 // line directly above, `// spiderlint-next-line: <token>` on the previous

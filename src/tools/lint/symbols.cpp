@@ -266,8 +266,6 @@ FileSymbols index_symbols(const TokenStream& stream) {
       fn.params = flatten(t, params_open + 1, params_close);
       fn.params_begin = params_open + 1;
       fn.params_end = params_close;
-      fn.has_source_location_param =
-          fn.params.find("source_location") != std::string::npos;
       Scope* cls = current_class();
       if (!fn_cls.empty()) {
         fn.cls = fn_cls;

@@ -84,7 +84,6 @@ struct FunctionSym {
   bool in_anon_namespace = false;
   bool is_definition = false;    ///< has a body in this file
   bool ctor_or_dtor = false;
-  bool has_source_location_param = false;
   std::string params;            ///< flattened parameter-list text
   /// Parameter-list token range (inside the parens) into the file's
   /// TokenStream, for per-parameter analysis (callgraph.hpp).

@@ -10,33 +10,13 @@
 #include <utility>
 
 #include "common/hash.hpp"
+#include "common/json.hpp"
 #include "fs/recovery.hpp"
 #include "sim/time.hpp"
 
 namespace spider::tools {
 
 namespace {
-
-std::string to_hex(std::uint64_t v) {
-  static constexpr char kDigits[] = "0123456789abcdef";
-  std::string out = "0x";
-  for (int shift = 60; shift >= 0; shift -= 4) {
-    out += kDigits[(v >> shift) & 0xf];
-  }
-  return out;
-}
-
-void json_escape(std::ostringstream& os, const std::string& s) {
-  for (char c : s) {
-    switch (c) {
-      case '"': os << "\\\""; break;
-      case '\\': os << "\\\\"; break;
-      case '\n': os << "\\n"; break;
-      case '\t': os << "\\t"; break;
-      default: os << c;
-    }
-  }
-}
 
 /// Canonical finding order: repair-phase order and output order.
 bool finding_less(const Finding& a, const Finding& b) {
@@ -400,10 +380,10 @@ std::string fsck_report_json(const FsckReport& report) {
     os << "{\"kind\": \"" << finding_kind_name(f.kind)
        << "\", \"file\": " << f.file << ", \"ost\": " << f.ost
        << ", \"detail\": \"";
-    json_escape(os, f.detail);
+    os << json_escape(f.detail);
     os << "\", \"repaired\": " << (f.repaired ? "true" : "false")
        << ", \"repair\": \"";
-    json_escape(os, f.repair);
+    os << json_escape(f.repair);
     os << "\"}";
   }
   os << "]}";

@@ -8,6 +8,7 @@
 
 #include <algorithm>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -328,6 +329,57 @@ TEST(FaultCampaign, VerdictJsonCarriesReproductionRecipe) {
   EXPECT_NE(json.find("\"stream_hash\": \"0x"), std::string::npos) << json;
   EXPECT_NE(json.find("\"clean\": true"), std::string::npos) << json;
   EXPECT_NE(json.find("\"violations\": []"), std::string::npos) << json;
+}
+
+/// Decode the JSON string body that starts at json[pos], just past its
+/// opening quote, into `out`. False on anything JSON forbids inside a
+/// string: a raw control byte, an unknown escape, a missing closing quote.
+bool decode_json_string(std::string_view json, std::size_t pos,
+                        std::string& out) {
+  while (pos < json.size()) {
+    const char c = json[pos++];
+    if (c == '"') return true;
+    if (static_cast<unsigned char>(c) < 0x20) return false;
+    if (c != '\\') {
+      out += c;
+      continue;
+    }
+    if (pos >= json.size()) return false;
+    switch (const char e = json[pos++]) {
+      case '"': case '\\': case '/': out += e; break;
+      case 'n': out += '\n'; break;
+      case 't': out += '\t'; break;
+      case 'r': out += '\r'; break;
+      case 'b': out += '\b'; break;
+      case 'f': out += '\f'; break;
+      case 'u':
+        if (pos + 4 > json.size()) return false;
+        out += static_cast<char>(
+            std::stoul(std::string(json.substr(pos, 4)), nullptr, 16));
+        pos += 4;
+        break;
+      default: return false;
+    }
+  }
+  return false;
+}
+
+TEST(FaultCampaign, ControlBytesInPlanNameStayValidJson) {
+  // Every byte below 0x20, a quote and a backslash in the plan name: the
+  // verdict line must hold no raw control byte and decode to the name.
+  FaultPlan plan = benign_plan(30.0);
+  plan.name = "smoke";
+  for (int c = 0; c < 0x20; ++c) plan.name += static_cast<char>(c);
+  plan.name += "\"\\end";
+  const std::string json = verdict_json(run_campaign(plan, 3));
+  for (const char c : json) {
+    ASSERT_GE(static_cast<unsigned char>(c), 0x20u) << json;
+  }
+  const std::string key = "{\"plan\": \"";
+  ASSERT_EQ(json.rfind(key, 0), 0u) << json;
+  std::string decoded;
+  ASSERT_TRUE(decode_json_string(json, key.size(), decoded)) << json;
+  EXPECT_EQ(decoded, plan.name);
 }
 
 TEST(FaultCampaign, ParallelCampaignsMatchSerialVerdictsExactly) {

@@ -103,6 +103,36 @@ TEST_F(Fixture, CancelFlowSkipsCallback) {
   EXPECT_EQ(net.active_flows(), 0u);
 }
 
+TEST_F(Fixture, CancelFlowDuringLatencyWindowNeverActivates) {
+  // Cancelled at 1 s, inside its 5 s latency window: the flow must never
+  // activate, complete or deliver. The later flow still in its own window
+  // runs as if the cancelled one had never been started.
+  const auto r = net.add_resource("link", 10.0);
+  int cancelled_fired = 0;
+  SimTime kept_done = -1;
+  FlowDesc d;
+  d.path = {{r, 1.0}};
+  d.size = 10.0;
+  d.latency = 5 * kSecond;
+  d.on_complete = [&](FlowId, SimTime) { ++cancelled_fired; };
+  const FlowId id = net.start_flow(std::move(d));
+  FlowDesc kept;
+  kept.path = {{r, 1.0}};
+  kept.size = 10.0;
+  kept.latency = 3 * kSecond;
+  kept.on_complete = [&](FlowId, SimTime t) { kept_done = t; };
+  net.start_flow(std::move(kept));
+  sim.schedule_in(kSecond, [&] { net.cancel_flow(id); });
+  sim.run();
+  EXPECT_EQ(cancelled_fired, 0);
+  EXPECT_EQ(net.active_flows(), 0u);
+  EXPECT_NEAR(to_seconds(kept_done), 4.0, 1e-3);  // 3 s latency + 1 s alone
+  EXPECT_NEAR(net.total_delivered(), 10.0, 1e-9);
+  EXPECT_NEAR(to_seconds(sim.now()), 4.0, 1e-3);  // nothing ran after it
+  net.cancel_flow(id);  // a second cancel stays a no-op
+  EXPECT_TRUE(sim.idle());
+}
+
 TEST_F(Fixture, CompletionCallbackCanStartNewFlow) {
   const auto r = net.add_resource("link", 100.0);
   int completions = 0;

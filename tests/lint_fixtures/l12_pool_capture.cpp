@@ -1,10 +1,10 @@
 // Fixture for spiderlint rule L12 (pool-capture-discipline).
 //
-// Closures handed to parallel_for/ThreadPool::submit/submit_to run on pool
-// workers: by-reference captures of members lacking SPIDER_GUARDED_BY /
-// std::atomic race, and by-ref locals without a visible join dangle. The
-// fork-join local, the guarded/atomic members, the mutex itself, and the
-// joined submit are engineered false positives.
+// Closures handed to parallel_for/ThreadPool::submit run on pool workers:
+// by-reference captures of members lacking SPIDER_GUARDED_BY / std::atomic
+// race, and by-ref locals without a visible join dangle. The fork-join
+// local, the guarded/atomic members, the mutex itself, and the submit
+// joined by a latch wait are engineered false positives.
 #include <atomic>
 #include <mutex>
 #include <vector>
@@ -19,9 +19,9 @@ void parallel_for(unsigned n, Fn fn);
 struct Pool {
   template <typename Fn>
   void submit(Fn fn);
-  template <typename Fn>
-  void submit_to(unsigned worker, Fn fn);
-  void wait_idle();
+};
+struct Latch {  // std::latch: wait() joins the submitted tasks
+  void wait();
 };
 
 class Study {
@@ -58,12 +58,13 @@ class Study {
     pool_.submit([&local] { local += 1; });
     // Aliasing an unguarded member stays flagged even under a join: the
     // workers race each other, not just the local's lifetime.
-    pool_.submit_to(0, [&rows = rows_] { rows.clear(); });  // L12
-    pool_.wait_idle();
+    pool_.submit([&rows = rows_] { rows.clear(); });  // L12
+    joined_.wait();
   }
 
  private:
   Pool pool_;
+  Latch joined_;
   std::vector<unsigned> rows_;
   std::atomic<long> hits_{0};
   std::mutex mu_;

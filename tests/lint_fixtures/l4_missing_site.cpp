@@ -1,7 +1,7 @@
 // Fixture for spiderlint rule L4 (replay-site).
 //
 // Linted as if it lived under src/: a bare schedule() call that carries no
-// scheduling site (std::source_location / site hash) fires, and so does a
+// scheduling site (sim::Site / site hash) fires, and so does a
 // fault-injection entry point whose parameter list takes an Injection or
 // FaultPlan payload but no site parameter.
 namespace fixture {
@@ -21,7 +21,7 @@ struct Injector {
   // Siteless injection entry points: both fire.
   void inject(const Injection& injection);
   void arm(const FaultPlan& plan);
-  // Carrying the site (source_location or hash) keeps them clean.
+  // Carrying the site (Site or hash) keeps them clean.
   void inject(const Injection& injection, unsigned long long site);
   void arm(const FaultPlan& plan, int loc);
 };

@@ -1,20 +1,20 @@
 // Fixture for spiderlint rule L7 (schedule-site-flow).
 //
-// schedule_at/schedule_in default their std::source_location to the
-// immediate caller, so a siteless call from a private helper collapses
-// every event to the helper's own line. The public entry point and the
-// loc-forwarding helper are engineered false positives.
-#include <source_location>
+// schedule_at/schedule_in default their sim::Site to the immediate
+// caller, so a siteless call from a private helper collapses every event
+// to the helper's own line. The public entry point and the loc-forwarding
+// helper are engineered false positives.
+struct Site {};  // stands in for sim::Site
 
 namespace fixture {
 
 class Replayer {
  public:
-  // Public entry point: the defaulted source_location names the real
-  // caller. Must NOT be flagged.
+  // Public entry point: the defaulted Site names the real caller. Must
+  // NOT be flagged.
   void kick() { sim_.schedule_at(10, 0); }
 
-  void kick_all(std::source_location loc = std::source_location::current()) {
+  void kick_all(Site loc = {}) {
     relaunch_threaded(loc);
   }
 
@@ -25,7 +25,7 @@ class Replayer {
 
   // Private helper that forwards the caller's location. Must NOT be
   // flagged.
-  void relaunch_threaded(std::source_location loc) {
+  void relaunch_threaded(Site loc) {
     sim_.schedule_at(10, 0, loc);
   }
 
@@ -34,7 +34,7 @@ class Replayer {
   void relaunch_cross(long due) { engine_.schedule_cross(0, 1, due, 0); }  // L7
 
   // And the loc-forwarding variant must NOT be flagged.
-  void relaunch_cross_threaded(long due, std::source_location loc) {
+  void relaunch_cross_threaded(long due, Site loc) {
     engine_.schedule_cross(0, 1, due, 0, loc);
   }
 
@@ -46,7 +46,7 @@ class Replayer {
       (void)payload;
     }
     void schedule_cross(int from, int to, long when, int payload,
-                        std::source_location loc) {
+                        Site loc) {
       (void)from;
       (void)to;
       (void)when;
@@ -61,7 +61,7 @@ class Replayer {
       (void)when;
       (void)payload;
     }
-    void schedule_at(long when, int payload, std::source_location loc) {
+    void schedule_at(long when, int payload, Site loc) {
       (void)when;
       (void)payload;
       (void)loc;

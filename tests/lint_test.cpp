@@ -212,7 +212,7 @@ TEST(SpiderLint, L7FlagsPrivateSitelessScheduleOnly) {
   EXPECT_EQ(r.findings[0].line, 24u);  // sim_.schedule_at(10, 0)
   EXPECT_EQ(r.findings[0].severity, Severity::kError);
   EXPECT_NE(r.findings[0].message.find("relaunch"), std::string::npos);
-  EXPECT_NE(r.findings[0].message.find("source_location"), std::string::npos);
+  EXPECT_NE(r.findings[0].message.find("sim::Site"), std::string::npos);
   // The cross-shard mailbox send is held to the same site-flow contract.
   EXPECT_EQ(r.findings[1].rule, "L7");
   EXPECT_EQ(r.findings[1].line, 34u);  // engine_.schedule_cross(0, 1, 10, 0)

@@ -10,7 +10,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <source_location>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -39,7 +38,7 @@ constexpr SimTime kLookahead = 10 * kMicrosecond;
 /// Synthetic multi-zone workload with cross-zone traffic. Every zone runs a
 /// chain of ticks `step` apart; every third tick also mails the next zone,
 /// which starts a fresh (shorter) chain there on arrival. All scheduling
-/// threads one shared source_location so runs are comparable site-by-site.
+/// threads one shared sim::Site so runs are comparable site-by-site.
 struct MiniZones {
   ShardedSimulator& engine;
   ShardMap map;
@@ -53,7 +52,7 @@ struct MiniZones {
     return engine.shard(map.shard_of(z));
   }
 
-  void start(int rounds, std::source_location loc) {
+  void start(int rounds, sim::Site loc) {
     for (std::size_t z = 0; z < ticks.size(); ++z) {
       const SimTime at = static_cast<SimTime>(z + 1) * kMicrosecond;
       zone_sim(z).schedule_at(at, [this, z, rounds, loc] {
@@ -62,7 +61,7 @@ struct MiniZones {
     }
   }
 
-  void tick(std::size_t z, int remaining, std::source_location loc) {
+  void tick(std::size_t z, int remaining, sim::Site loc) {
     ++ticks[z];
     if (remaining <= 0) return;
     if (remaining % 3 == 0 && ticks.size() > 1) {
@@ -91,7 +90,7 @@ std::uint64_t run_mini(std::size_t zones, const ShardMap& map,
   ShardedReplay replay(engine);
   MiniZones zones_state(engine, map);
   EXPECT_EQ(zones_state.ticks.size(), zones);
-  zones_state.start(12, std::source_location::current());
+  zones_state.start(12, sim::Site());
   engine.run(sim::kMillisecond);
   if (total_ticks) {
     *total_ticks = 0;
@@ -126,7 +125,7 @@ TEST(ShardedSim, SingleShardMatchesSerialSimulatorByteForByte) {
   // shard 0: the sharded engine's merged stream must equal the serial
   // Simulator's exactly at any engine width and lane count, so the epoch
   // chopping and the empty shards are invisible in the replay hash.
-  const std::source_location loc = std::source_location::current();
+  const sim::Site loc;
   const auto seed_workload = [loc](sim::Simulator& sim) {
     for (int i = 0; i < 5; ++i) {
       sim.schedule_at((i + 1) * kMicrosecond, sim::EventFn([&sim, i, loc] {
@@ -323,7 +322,7 @@ TEST(ShardedSim, SplitRunMatchesOneRun) {
   // 20 µs) and from shard 0 (the late message below). run(t1)'s closing
   // barrier must land both in shard 2's queue, in the same canonical order
   // the next epoch's lane would have used, or shard 2's ids differ.
-  const std::source_location loc = std::source_location::current();
+  const sim::Site loc;
   const SimTime t1 = 3 * kLookahead - 1;
   const SimTime t2 = sim::kMillisecond;
   struct Outcome {

@@ -3,9 +3,7 @@
 #include <cmath>
 #include <cstdint>
 #include <memory>
-#include <source_location>
 #include <string_view>
-#include <thread>
 #include <utility>
 #include <vector>
 
@@ -50,17 +48,17 @@ TEST(EventQueue, CancelSkipsEvent) {
   EventQueue q;
   std::vector<int> order;
   q.schedule(1, [&] { order.push_back(1); });
-  const EventId id = q.schedule(2, [&] { order.push_back(2); });
+  const EventHandle second = q.schedule(2, [&] { order.push_back(2); });
   q.schedule(3, [&] { order.push_back(3); });
-  EXPECT_TRUE(q.cancel(id));
-  EXPECT_FALSE(q.cancel(id));  // double-cancel is a no-op
+  EXPECT_TRUE(q.cancel(second));
+  EXPECT_FALSE(q.cancel(second));  // double-cancel is a no-op
   while (!q.empty()) q.pop().fn();
   EXPECT_EQ(order, (std::vector<int>{1, 3}));
 }
 
 TEST(EventQueue, SizeTracksLiveEvents) {
   EventQueue q;
-  const EventId a = q.schedule(1, [] {});
+  const EventHandle a = q.schedule(1, [] {});
   q.schedule(2, [] {});
   EXPECT_EQ(q.size(), 2u);
   q.cancel(a);
@@ -74,10 +72,10 @@ TEST(EventQueue, CancelFreesCallbackStateEagerly) {
   EventQueue q;
   auto token = std::make_shared<int>(42);
   std::weak_ptr<int> watch = token;
-  const EventId id = q.schedule(1000, [token] { (void)*token; });
+  const EventHandle event = q.schedule(1000, [token] { (void)*token; });
   token.reset();
   EXPECT_FALSE(watch.expired());
-  q.cancel(id);
+  q.cancel(event);
   EXPECT_TRUE(watch.expired());
 }
 
@@ -91,8 +89,9 @@ TEST(EventQueue, CancelHeavyLoadBoundsMemory) {
   constexpr std::size_t kRounds = 1'000'000;
   for (std::size_t i = 0; i < kRounds; ++i) {
     // Far-future time: lazy top-of-heap dropping alone never reaches these.
-    const EventId id = q.schedule(static_cast<SimTime>(1'000'000 + i), [] {});
-    ASSERT_TRUE(q.cancel(id));
+    const EventHandle event =
+        q.schedule(static_cast<SimTime>(1'000'000 + i), [] {});
+    ASSERT_TRUE(q.cancel(event));
   }
   EXPECT_EQ(q.size(), 1u);        // callbacks_ holds only the live event
   EXPECT_LE(q.heap_size(), 64u);  // stale entries were compacted away
@@ -102,7 +101,7 @@ TEST(EventQueue, CancelHeavyLoadBoundsMemory) {
 TEST(EventQueue, CompactionPreservesOrderingAndCallbacks) {
   EventQueue q;
   std::vector<int> order;
-  std::vector<EventId> doomed;
+  std::vector<EventHandle> doomed;
   for (int round = 0; round < 10; ++round) {
     for (int i = 0; i < 100; ++i) {
       doomed.push_back(
@@ -110,7 +109,7 @@ TEST(EventQueue, CompactionPreservesOrderingAndCallbacks) {
     }
     q.schedule(static_cast<SimTime>(10 * round + 5),
                [&order, round] { order.push_back(round); });
-    for (const EventId id : doomed) q.cancel(id);
+    for (const EventHandle event : doomed) q.cancel(event);
     doomed.clear();
   }
   EXPECT_EQ(q.size(), 10u);
@@ -125,7 +124,7 @@ TEST(EventQueue, CompactionKeepsCapacityForSteadyChurn) {
   // to the flow network's cancel/reschedule pattern.
   EventQueue q;
   q.schedule(1, [] {});  // permanent live anchor
-  std::vector<EventId> ids;
+  std::vector<EventHandle> ids;
   // Grow the heap with live events, then cancel most (stale > 2x live
   // triggers compaction). Capacity stays within the shrink threshold, so it
   // must be retained exactly.
@@ -140,11 +139,11 @@ TEST(EventQueue, CompactionKeepsCapacityForSteadyChurn) {
   // Steady churn at the same scale must never shrink or regrow: capacity is
   // stable across rounds.
   for (int round = 0; round < 20; ++round) {
-    std::vector<EventId> churn;
+    std::vector<EventHandle> churn;
     for (int i = 0; i < 300; ++i) {
       churn.push_back(q.schedule(static_cast<SimTime>(5000 + i), [] {}));
     }
-    for (const EventId id : churn) q.cancel(id);
+    for (const EventHandle event : churn) q.cancel(event);
     EXPECT_EQ(q.heap_capacity(), cap_before) << "round " << round;
   }
 }
@@ -155,27 +154,28 @@ TEST(EventQueue, CompactionReleasesCapacityAfterBurstCollapse) {
   // shrink multiple), compact() must give the memory back.
   EventQueue q;
   q.schedule(1, [] {});
-  std::vector<EventId> ids;
+  std::vector<EventHandle> ids;
   for (int i = 0; i < 20'000; ++i) {
     ids.push_back(q.schedule(static_cast<SimTime>(1000 + i), [] {}));
   }
   EXPECT_GE(q.heap_capacity(), 20'000u);
-  for (const EventId id : ids) q.cancel(id);
+  for (const EventHandle event : ids) q.cancel(event);
   EXPECT_EQ(q.size(), 1u);
   EXPECT_LT(q.heap_capacity(), 20'000u / 4);  // burst capacity released
 }
 
 TEST(EventQueue, CancelledIdStaysDeadAfterSlotReuse) {
-  // Generation check: cancelling an id must stay a no-op forever, even after
-  // the slot that backed it is recycled for a newer event. A stale cancel
-  // that killed the new occupant would silently drop a live event.
+  // Generation check: cancelling a handle must stay a no-op forever, even
+  // after the slot that backed it is recycled for a newer event. A stale
+  // cancel that killed the new occupant would silently drop a live event.
   EventQueue q;
   bool fired = false;
-  const EventId a = q.schedule(10, [] {});
+  const EventHandle a = q.schedule(10, [] {});
   ASSERT_TRUE(q.cancel(a));
-  const EventId b = q.schedule(20, [&fired] { fired = true; });
-  EXPECT_GT(b, a);                // ids stay monotone, never recycled
-  EXPECT_FALSE(q.cancel(a));      // stale id: dead then, dead now
+  const EventHandle b = q.schedule(20, [&fired] { fired = true; });
+  EXPECT_EQ(b.slot, a.slot);      // the slot is recycled...
+  EXPECT_GT(b.id, a.id);          // ...but ids stay monotone, never recycled
+  EXPECT_FALSE(q.cancel(a));      // stale handle: dead then, dead now
   ASSERT_EQ(q.size(), 1u);
   while (!q.empty()) q.pop().fn();
   EXPECT_TRUE(fired);             // the reused slot's occupant survived
@@ -189,20 +189,19 @@ TEST(EventQueue, IdsAreConsecutiveAcrossCancelChurn) {
   EventQueue q;
   EventId expected = 0;
   for (int i = 0; i < 100; ++i) {
-    const EventId id = q.schedule(static_cast<SimTime>(50 + i), [] {});
-    EXPECT_EQ(id, ++expected);
-    if (i % 3 == 0) q.cancel(id);
+    const EventHandle event = q.schedule(static_cast<SimTime>(50 + i), [] {});
+    EXPECT_EQ(event.id, ++expected);
+    if (i % 3 == 0) q.cancel(event);
   }
 }
 
 TEST(EventQueue, CancelAtFireTimeLeavesNoStaleHead) {
-  // Regression: fault churn cancels events whose fire time equals the
-  // current front of the heap (a revert cancelled at the instant it is due).
-  // cancel() must drop the stale head eagerly so next_time()/pop() never see
-  // a cancelled front entry.
+  // Regression: cancelling the event at the current front of the heap (one
+  // due at the instant of the cancel) must drop the stale head eagerly, so
+  // next_time()/pop() never see a cancelled front entry.
   EventQueue q;
   std::vector<int> order;
-  const EventId due_now = q.schedule(10, [&] { order.push_back(1); });
+  const EventHandle due_now = q.schedule(10, [&] { order.push_back(1); });
   q.schedule(10, [&] { order.push_back(2); });
   q.schedule(20, [&] { order.push_back(3); });
   ASSERT_EQ(q.next_time(), 10);  // cancelled event is at the heap front
@@ -221,7 +220,7 @@ TEST(EventQueue, CancelChurnIsDeterministic) {
   const auto drive = [] {
     EventQueue q;
     std::vector<int> order;
-    std::vector<EventId> ids;
+    std::vector<EventHandle> ids;
     for (int i = 0; i < 200; ++i) {
       ids.push_back(q.schedule(static_cast<SimTime>(5 * (i % 17)),
                                [&order, i] { order.push_back(i); }));
@@ -290,8 +289,8 @@ TEST(Simulator, ObserverSeesEveryDispatchedEvent) {
     seen.emplace_back(t, id);
   };
   sim.set_observer(EventObserver(observe));
-  const EventId a = sim.schedule_in(10, [] {});
-  const EventId b = sim.schedule_in(5, [] {});
+  const EventId a = sim.schedule_in(10, [] {}).id;
+  const EventId b = sim.schedule_in(5, [] {}).id;
   sim.run();
   ASSERT_EQ(seen.size(), 2u);
   EXPECT_EQ(seen[0], (std::pair<SimTime, EventId>{5, b}));
@@ -299,99 +298,16 @@ TEST(Simulator, ObserverSeesEveryDispatchedEvent) {
 }
 
 TEST(Simulator, SiteHashIsStablePerLineAndDistinctAcrossLines) {
-  const auto here = std::source_location::current();
-  const auto copy = here;
-  const auto other_line = std::source_location::current();
-  EXPECT_NE(site_hash(here), 0u);
-  // Hashing is content-based (file name chars + line): identical locations
+  constexpr Site here;
+  constexpr Site copy = here;
+  constexpr Site other_line;
+  static_assert(here.hash != 0);
+  // Hashing is content-based (file name chars + line): identical sites
   // agree, different lines differ — that is what localizes a divergence.
-  EXPECT_EQ(site_hash(here), site_hash(copy));
-  EXPECT_NE(site_hash(here), site_hash(other_line));
-}
-
-// Defined at the end of this file under #line directives, so each carries
-// a file name and line of its own.
-std::source_location twin_site_alpha();
-std::source_location twin_site_beta();
-std::source_location twin_site_beta_later();
-std::vector<std::source_location> many_sites();
-
-/// The site hash written out independently: 64-bit FNV-1a over the bytes of
-/// the basename, then one step folding in the whole line number.
-std::uint64_t reference_site_hash(const std::source_location& loc) {
-  std::string_view name = loc.file_name();
-  const std::size_t slash = name.find_last_of("/\\");
-  if (slash != std::string_view::npos) name.remove_prefix(slash + 1);
-  std::uint64_t h = 1469598103934665603ull;
-  for (const char c : name) {
-    h = (h ^ static_cast<unsigned char>(c)) * 1099511628211ull;
-  }
-  return (h ^ loc.line()) * 1099511628211ull;
-}
-
-TEST(SiteHashMemo, TwinBasenamesInDistinctDirectoriesHashAlike) {
-  const std::source_location alpha = twin_site_alpha();
-  const std::source_location beta = twin_site_beta();
-  const std::source_location later = twin_site_beta_later();
-  ASSERT_NE(alpha.file_name(), beta.file_name());
-  ASSERT_STRNE(alpha.file_name(), beta.file_name());
-  ASSERT_EQ(alpha.line(), beta.line());
-  for (int pass = 0; pass < 2; ++pass) {  // a miss, then a memo hit
-    EXPECT_EQ(site_hash(alpha), reference_site_hash(alpha));
-    EXPECT_EQ(site_hash(beta), reference_site_hash(beta));
-    EXPECT_EQ(site_hash(later), reference_site_hash(later));
-  }
-  EXPECT_EQ(site_hash(alpha), site_hash(beta));
-  EXPECT_NE(site_hash(beta), site_hash(later));
-}
-
-TEST(SiteHashMemo, OneFileAtDifferentLines) {
-  const std::source_location first = std::source_location::current();
-  const std::source_location second = std::source_location::current();
-  for (int pass = 0; pass < 2; ++pass) {
-    EXPECT_EQ(site_hash(first), reference_site_hash(first));
-    EXPECT_EQ(site_hash(second), reference_site_hash(second));
-  }
-  EXPECT_NE(site_hash(first), site_hash(second));
-}
-
-TEST(SiteHashMemo, MoreSitesThanSlotsEvictAndStillMatch) {
-  // 72 sites in a 64-slot table: at least eight share a slot, so later
-  // passes hit, miss and evict in turn.
-  const std::vector<std::source_location> sites = many_sites();
-  ASSERT_GT(sites.size(), 64u);
-  for (int pass = 0; pass < 3; ++pass) {
-    for (const std::source_location& loc : sites) {
-      ASSERT_EQ(site_hash(loc), reference_site_hash(loc))
-          << loc.file_name() << ":" << loc.line();
-    }
-  }
-}
-
-TEST(SiteHashMemo, FourThreadsHashConcurrently) {
-  std::vector<std::source_location> sites = many_sites();
-  sites.push_back(twin_site_alpha());
-  sites.push_back(twin_site_beta());
-  std::vector<std::uint64_t> expected;
-  for (const std::source_location& loc : sites) {
-    expected.push_back(reference_site_hash(loc));
-  }
-  std::vector<int> mismatches(4, 0);
-  std::vector<std::thread> threads;
-  for (std::size_t t = 0; t < 4; ++t) {
-    threads.emplace_back([&sites, &expected, &mismatches, t] {
-      for (int pass = 0; pass < 200; ++pass) {
-        // Each thread walks the sites from its own offset, so the threads'
-        // tables fill and evict in different orders.
-        for (std::size_t i = 0; i < sites.size(); ++i) {
-          const std::size_t k = (i + 17 * t) % sites.size();
-          if (site_hash(sites[k]) != expected[k]) ++mismatches[t];
-        }
-      }
-    });
-  }
-  for (std::thread& th : threads) th.join();
-  EXPECT_EQ(mismatches, (std::vector<int>{0, 0, 0, 0}));
+  static_assert(here.hash == copy.hash);
+  static_assert(here.hash != other_line.hash);
+  static_assert(other_line.line == here.line + 2);
+  EXPECT_STREQ(here.file, "sim_test.cpp");
 }
 
 TEST(Simulator, RejectsPastAndNegative) {
@@ -469,18 +385,30 @@ TEST(Simulator, RunWithInfiniteHorizonStopsAtLastEvent) {
 }
 
 TEST(Simulator, ScheduleSitedPreservesCallerSiteHash) {
-  // schedule_sited is the mailbox-drain hook: the recorded site must be the
-  // original sender's hash, not the drain loop's.
+  // A Site captured on one line and handed to schedule_at later — as the
+  // sharded engine hands over a schedule_cross call's site when it delivers
+  // the message — keeps that line's hash, and a past-time error names it.
   Simulator sim;
   std::uint64_t seen_site = 0;
   auto observe = [&](SimTime, EventId, std::uint64_t site) {
     seen_site = site;
   };
   sim.set_observer(EventObserver(observe));
-  sim.schedule_sited(5, [] {}, 0xabcdef12u);
+  const Site captured;
+  const Site scheduling_line;
+  sim.schedule_at(5, [] {}, captured);
   sim.run();
-  EXPECT_EQ(seen_site, 0xabcdef12u);
-  EXPECT_THROW(sim.schedule_sited(1, [] {}, 0x1u), std::invalid_argument);
+  EXPECT_EQ(seen_site, captured.hash);
+  EXPECT_NE(seen_site, scheduling_line.hash);
+  try {
+    sim.schedule_at(1, [] {}, captured);
+    FAIL() << "expected invalid_argument";
+  } catch (const std::invalid_argument& e) {
+    const std::string named =
+        "sim_test.cpp:" + std::to_string(captured.line) + ")";
+    EXPECT_NE(std::string(e.what()).find(named), std::string::npos)
+        << e.what();
+  }
 }
 
 // --- max-min solver ---------------------------------------------------------
@@ -650,99 +578,52 @@ TEST(SteadyStateSolver, RejectsBadFlow) {
 }  // namespace
 }  // namespace spider::sim
 
-// The sites SiteHashMemo hashes. Each #line directive renames the file and
-// renumbers the lines that follow, which is the only way to give a
-// source_location a file name of its own; nothing follows them in this file.
+// --- Site hashing ------------------------------------------------------------
+// Each #line directive renames the file and renumbers the lines that follow,
+// which is the only way to give a Site a file name of its own; nothing
+// follows these tests in this file.
 namespace spider::sim {
 namespace {
 
+/// The site hash written out independently: 64-bit FNV-1a over the bytes of
+/// the basename, then one step folding in the whole line number.
+constexpr std::uint64_t reference_fnv(std::string_view path,
+                                      std::uint64_t line) {
+  const std::size_t slash = path.find_last_of("/\\");
+  if (slash != std::string_view::npos) path.remove_prefix(slash + 1);
+  std::uint64_t h = 1469598103934665603ull;
+  for (const char c : path) {
+    h = (h ^ static_cast<unsigned char>(c)) * 1099511628211ull;
+  }
+  return (h ^ line) * 1099511628211ull;
+}
+
 #line 7 "alpha/twin_site.cpp"
-std::source_location twin_site_alpha() {
-  return std::source_location::current();
-}
+constexpr Site kTwinAlpha;
 #line 7 "beta/twin_site.cpp"
-std::source_location twin_site_beta() {
-  return std::source_location::current();
+constexpr Site kTwinBeta;
+constexpr Site kTwinBetaLater;
+#line 40 "gamma/one_file.cpp"
+constexpr Site kFirst;
+constexpr Site kSecond;
+
+TEST(SiteHashMemo, TwinBasenamesInDistinctDirectoriesHashAlike) {
+  static_assert(kTwinAlpha.hash == reference_fnv("alpha/twin_site.cpp", 7));
+  static_assert(kTwinBeta.hash == reference_fnv("beta/twin_site.cpp", 7));
+  static_assert(kTwinBetaLater.hash == reference_fnv("beta/twin_site.cpp", 8));
+  static_assert(kTwinAlpha.hash == kTwinBeta.hash);
+  static_assert(kTwinBeta.hash != kTwinBetaLater.hash);
+  EXPECT_STREQ(kTwinAlpha.file, "twin_site.cpp");
+  EXPECT_STREQ(kTwinBeta.file, "twin_site.cpp");
+  EXPECT_EQ(kTwinBetaLater.line, 8u);
 }
-std::source_location twin_site_beta_later() {
-  return std::source_location::current();
-}
-#line 1 "gamma/many_sites.cpp"
-std::vector<std::source_location> many_sites() {
-  return {
-      std::source_location::current(),
-      std::source_location::current(),
-      std::source_location::current(),
-      std::source_location::current(),
-      std::source_location::current(),
-      std::source_location::current(),
-      std::source_location::current(),
-      std::source_location::current(),
-      std::source_location::current(),
-      std::source_location::current(),
-      std::source_location::current(),
-      std::source_location::current(),
-      std::source_location::current(),
-      std::source_location::current(),
-      std::source_location::current(),
-      std::source_location::current(),
-      std::source_location::current(),
-      std::source_location::current(),
-      std::source_location::current(),
-      std::source_location::current(),
-      std::source_location::current(),
-      std::source_location::current(),
-      std::source_location::current(),
-      std::source_location::current(),
-      std::source_location::current(),
-      std::source_location::current(),
-      std::source_location::current(),
-      std::source_location::current(),
-      std::source_location::current(),
-      std::source_location::current(),
-      std::source_location::current(),
-      std::source_location::current(),
-      std::source_location::current(),
-      std::source_location::current(),
-      std::source_location::current(),
-      std::source_location::current(),
-      std::source_location::current(),
-      std::source_location::current(),
-      std::source_location::current(),
-      std::source_location::current(),
-      std::source_location::current(),
-      std::source_location::current(),
-      std::source_location::current(),
-      std::source_location::current(),
-      std::source_location::current(),
-      std::source_location::current(),
-      std::source_location::current(),
-      std::source_location::current(),
-      std::source_location::current(),
-      std::source_location::current(),
-      std::source_location::current(),
-      std::source_location::current(),
-      std::source_location::current(),
-      std::source_location::current(),
-      std::source_location::current(),
-      std::source_location::current(),
-      std::source_location::current(),
-      std::source_location::current(),
-      std::source_location::current(),
-      std::source_location::current(),
-      std::source_location::current(),
-      std::source_location::current(),
-      std::source_location::current(),
-      std::source_location::current(),
-      std::source_location::current(),
-      std::source_location::current(),
-      std::source_location::current(),
-      std::source_location::current(),
-      std::source_location::current(),
-      std::source_location::current(),
-      std::source_location::current(),
-      std::source_location::current(),
-  };
+
+TEST(SiteHashMemo, OneFileAtDifferentLines) {
+  static_assert(kFirst.hash == reference_fnv("gamma/one_file.cpp", 40));
+  static_assert(kSecond.hash == reference_fnv("gamma/one_file.cpp", 41));
+  static_assert(kFirst.hash != kSecond.hash);
+  EXPECT_STREQ(kFirst.file, "one_file.cpp");
+  EXPECT_EQ(kSecond.line, 41u);
 }
 
 }  // namespace
