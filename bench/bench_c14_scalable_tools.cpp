@@ -40,7 +40,7 @@ int main() {
 
   const auto du_cost = client_du(ns, 7, /*background_util=*/0.5);
   LustreDu lustredu;
-  lustredu.daily_scan(ns, sim::kDay);
+  lustredu.daily_scan(ns);
   const auto ldu_cost = lustredu.usage(7);
 
   Table du_table;

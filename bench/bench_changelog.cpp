@@ -114,7 +114,7 @@ int run_bench(bench::GatedRun& run) {
     tools::LustreDu scan_tool;
     const bench::Clock::time_point scan_start = bench::Clock::now();
     for (std::size_t r = 0; r < scan_reps; ++r) {
-      scan_tool.daily_scan(ns, static_cast<sim::SimTime>(r));
+      scan_tool.daily_scan(ns);
     }
     const double scan_s = bench::seconds_since(scan_start);
     const double scan_files_per_sec =

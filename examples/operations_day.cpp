@@ -159,7 +159,7 @@ int main() {
     }
   }
   tools::LustreDu lustredu;
-  lustredu.daily_scan(scratch, sim.now());
+  lustredu.daily_scan(scratch);
   std::cout << "\nnightly LustreDU scan: project 3 uses "
             << to_tb(lustredu.usage(3).bytes_reported)
             << " TB (zero MDS cost; a client du would have cost "

@@ -3,10 +3,13 @@
 //
 // Generates a production-day request stream from the published parameters,
 // runs the characterization pipeline on it — write/read mix, bimodal
-// request sizes, Pareto tail indices via the Hill estimator — and exports
-// the trace as CSV for external tooling. These are exactly the statistics
-// the paper says fed the metadata-server optimization and the 240 GB/s
-// random-I/O requirement.
+// request sizes, Pareto tail indices via the Hill estimator. These are
+// exactly the statistics the paper says fed the metadata-server
+// optimization and the 240 GB/s random-I/O requirement.
+//
+// Usage: workload_study [trace.csv]
+// With a path, the whole trace (~190 MB) is also exported there as CSV for
+// external tooling; without one, nothing is written.
 #include <fstream>
 #include <iostream>
 
@@ -17,7 +20,7 @@
 #include "workload/mixed.hpp"
 #include "workload/trace_io.hpp"
 
-int main() {
+int main(int argc, char** argv) {
   using namespace spider;
   using namespace spider::workload;
 
@@ -60,11 +63,16 @@ int main() {
             << " GB/s, peak " << peak / 1e9
             << " GB/s (bursty, as the study found)\n";
 
-  // Export for external analysis.
-  const char* path = "workload_trace.csv";
-  std::ofstream out(path);
-  write_trace_csv(out, trace);
-  std::cout << "\ntrace exported to " << path << " ("
-            << trace.size() << " rows)\n";
+  if (argc > 1) {
+    const char* path = argv[1];
+    std::ofstream out(path);
+    write_trace_csv(out, trace);
+    if (!out) {
+      std::cerr << "cannot write " << path << "\n";
+      return 1;
+    }
+    std::cout << "\ntrace exported to " << path << " ("
+              << trace.size() << " rows)\n";
+  }
   return 0;
 }

@@ -150,8 +150,8 @@ if grep -q '"post_repair_clean": false' "${BUILD_ROOT}/faults_fsck.jsonl" \
 fi
 
 # Changelog churn -> crash -> replay -> oracle loop under ASan
-# (docs/metadata-changelog.md): DNE namespaces churn over the sharded
-# engine while the incremental purge engine and LustreDU answer from the
+# (docs/metadata-changelog.md): DNE namespaces churn on one serial
+# Simulator while the incremental purge engine and LustreDU answer from the
 # changelog; the consistency oracle audits every epoch barrier and the
 # verdict proves the query paths took zero namespace walks. Two fresh
 # processes must emit byte-identical verdicts, and the acceptance run

@@ -12,15 +12,14 @@
 #   --format=FMT      spiderlint output format: text (default), json, sarif
 #   --baseline=FILE   baseline file (default: ci/spiderlint-baseline.txt
 #                     when it exists; --baseline= with no file disables)
-#   --changed         report only findings in files touched vs HEAD (staged
-#                     + unstaged + untracked) plus every file that includes
-#                     them, found by a fixpoint over the in-tree include
-#                     spellings — the pre-commit hook's fast path. The L5
-#                     include graph is still built from the full tree (an
-#                     include cycle through an unchanged file must still
-#                     close); only the *report* narrows, via --only.
-#                     Ignores path args. Skips the baseline-staleness gate:
-#                     a narrowed report cannot tell fixed from not-reported.
+#   --changed         the pre-commit hook's fast path: clang-tidy checks only
+#                     the files touched vs HEAD (staged + unstaged +
+#                     untracked) plus every file that includes them, found
+#                     by a fixpoint over the in-tree include spellings.
+#                     spiderlint still lints the full tree (<0.1 s); HEAD is
+#                     baseline-clean, so whatever it reports comes from the
+#                     change. Ignores path args; exits 0 at once when no
+#                     lintable file changed.
 #   --prune           rewrite the baseline dropping stale entries (full-tree
 #                     runs only: pruning against a partial run deletes
 #                     entries for files that simply were not linted)
@@ -63,16 +62,13 @@ if [ -n "$BASELINE" ] && [ "$BASELINE" != "__default__" ]; then
   SPIDERLINT_ARGS+=("--baseline=${BASELINE}")
 fi
 if [ "$PRUNE" -eq 1 ]; then SPIDERLINT_ARGS+=(--prune-baseline); fi
-if [ -n "$STALE_MODE" ] && [ "$CHANGED" -eq 0 ]; then
-  SPIDERLINT_ARGS+=("--stale=${STALE_MODE}")
-fi
+if [ -n "$STALE_MODE" ]; then SPIDERLINT_ARGS+=("--stale=${STALE_MODE}"); fi
 
 # --changed: collect files touched vs HEAD, then close over their includers
-# so a header edit re-reports every translation unit it can break. Include
+# so a header edit re-checks every translation unit it can break. Include
 # edges are matched by include spelling (the same key spiderlint's L5 include
-# graph uses), iterated to a fixpoint. The closure decides what is
-# *reported* (--only); spiderlint still lints the full default path set so
-# L5 sees every include edge — a partial graph misses cycles.
+# graph uses), iterated to a fixpoint. The closure decides what clang-tidy
+# checks; spiderlint lints the full default path set either way.
 if [ "$CHANGED" -eq 1 ]; then
   declare -A SELECTED=()
   while IFS= read -r f; do
@@ -113,16 +109,9 @@ if [ "$CHANGED" -eq 1 ]; then
     echo "OK: no lintable changes vs HEAD"
     exit 0
   fi
-  # Full-tree include graph, narrowed report: one --only per selected file.
-  # The changed set is kept separately so clang-tidy still runs on just the
-  # touched TUs.
-  CHANGED_FILES=()
-  while IFS= read -r f; do
-    SPIDERLINT_ARGS+=("--only=$f")
-    CHANGED_FILES+=("$f")
-  done < <(printf '%s\n' "${!SELECTED[@]}" | sort)
+  mapfile -t CHANGED_FILES < <(printf '%s\n' "${!SELECTED[@]}" | sort)
   PATHS=(src tests bench)
-  echo "=== lint --changed: reporting on ${#CHANGED_FILES[@]} file(s), full-tree include graph ==="
+  echo "=== lint --changed: clang-tidy on ${#CHANGED_FILES[@]} file(s), spiderlint on the full tree ==="
 fi
 
 # Build (or refresh) the spiderlint binary; export compile commands so a

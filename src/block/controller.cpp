@@ -7,7 +7,6 @@ namespace spider::block {
 ControllerParams upgraded_controller_params() {
   ControllerParams p;
   p.per_controller_bw = kUpgradedControllerBw;
-  p.per_controller_iops = kUpgradedControllerIops;
   return p;
 }
 
@@ -23,18 +22,6 @@ Bandwidth ControllerPair::delivered_bw() const {
       return 2.0 * params_.per_controller_bw;
     case PairState::kFailedOver:
       return params_.per_controller_bw;
-    case PairState::kOffline:
-      return 0.0;
-  }
-  return 0.0;
-}
-
-double ControllerPair::delivered_iops() const {
-  switch (state_) {
-    case PairState::kActiveActive:
-      return 2.0 * params_.per_controller_iops;
-    case PairState::kFailedOver:
-      return params_.per_controller_iops;
     case PairState::kOffline:
       return 0.0;
   }

@@ -18,15 +18,12 @@ struct ControllerParams {
   /// the pair caps an SSU at ~17.8 GB/s (36 SSUs * 17.8 / 2 namespaces
   /// ≈ 320 GB/s per namespace).
   Bandwidth per_controller_bw = 8.9 * kGBps;
-  /// IOPS ceiling of one controller for small-request workloads.
-  double per_controller_iops = 200e3;
 };
 
 /// Upgraded controller generation (post CPU/memory refresh): the pair caps
 /// an SSU at ~28.4 GB/s, which moves the bottleneck back to the disks and
 /// yields ~510 GB/s per namespace.
 inline constexpr Bandwidth kUpgradedControllerBw = 14.2 * kGBps;
-inline constexpr double kUpgradedControllerIops = 350e3;
 ControllerParams upgraded_controller_params();
 
 enum class PairState { kActiveActive, kFailedOver, kOffline };
@@ -43,7 +40,6 @@ class ControllerPair {
 
   /// Aggregate bandwidth the pair can move in its current state.
   Bandwidth delivered_bw() const;
-  double delivered_iops() const;
 
   /// One controller fails; the partner takes over all LUNs (design-intended
   /// behaviour in the 2010 incident).

@@ -1,6 +1,5 @@
 #include "core/churn_scenario.hpp"
 
-#include <algorithm>
 #include <stdexcept>
 
 #include "block/disk.hpp"
@@ -11,6 +10,13 @@ namespace {
 
 /// Per-namespace seed derivation, same splitmix stride ScaleScenario uses.
 constexpr std::uint64_t kSeedStride = 0x9e3779b97f4a7c15ull;
+constexpr std::size_t kOstsPerNamespace = 4;
+/// Concurrent churn streams per namespace.
+constexpr std::size_t kActorsPerNamespace = 4;
+constexpr Bytes kFileBytes = 8_MiB;
+constexpr std::uint32_t kProjects = 16;
+/// Ops between oplog commits, per namespace.
+constexpr std::size_t kCommitEvery = 8;
 
 std::vector<block::Disk> healthy_members(std::size_t n = 10) {
   std::vector<block::Disk> out;
@@ -23,77 +29,62 @@ std::vector<block::Disk> healthy_members(std::size_t n = 10) {
 
 }  // namespace
 
-ChurnScenario::ChurnScenario(const ChurnParams& params,
-                             sim::ShardedSimulator& engine,
-                             const sim::ShardMap& map)
-    : params_(params), engine_(engine), map_(map) {
+ChurnScenario::ChurnScenario(const ChurnParams& params, sim::Simulator& sim)
+    : params_(params), sim_(sim) {
   if (params_.namespaces == 0) {
     throw std::invalid_argument("ChurnScenario: namespaces must be >= 1");
   }
-  if (map_.domains() < params_.namespaces) {
-    throw std::invalid_argument(
-        "ChurnScenario: shard map covers fewer domains than namespaces");
-  }
-  if (map_.shards() > engine_.shards()) {
-    throw std::invalid_argument(
-        "ChurnScenario: shard map targets more shards than the engine has");
-  }
-  shards_ = std::vector<Shard>(params_.namespaces);
+  namespaces_ = std::vector<Namespace>(params_.namespaces);
   for (std::size_t i = 0; i < params_.namespaces; ++i) {
-    Shard& shard = shards_[i];
+    Namespace& space = namespaces_[i];
     std::vector<fs::Ost*> ptrs;
-    for (std::size_t o = 0; o < std::max<std::size_t>(1, params_.osts_per_namespace); ++o) {
-      shard.groups.push_back(std::make_unique<block::Raid6Group>(
+    for (std::size_t o = 0; o < kOstsPerNamespace; ++o) {
+      space.groups.push_back(std::make_unique<block::Raid6Group>(
           block::RaidParams{}, healthy_members()));
-      shard.osts.push_back(std::make_unique<fs::Ost>(
-          static_cast<std::uint32_t>(o), shard.groups.back().get()));
-      ptrs.push_back(shard.osts.back().get());
+      space.osts.push_back(std::make_unique<fs::Ost>(
+          static_cast<std::uint32_t>(o), space.groups.back().get()));
+      ptrs.push_back(space.osts.back().get());
     }
-    shard.ns = std::make_unique<fs::FsNamespace>(
+    space.ns = std::make_unique<fs::FsNamespace>(
         "mdt" + std::to_string(i), std::move(ptrs));
     // Default mask: no atime records, same as Lustre's stock changelog.
-    shard.ns->attach_oplog(&shard.log, fs::kLogDefault);
-    shard.rng = Rng(params_.seed ^ (kSeedStride * (i + 1)));
+    space.ns->attach_oplog(&space.log, fs::kLogDefault);
+    space.rng = Rng(params_.seed ^ (kSeedStride * (i + 1)));
   }
 }
 
-sim::Simulator& ChurnScenario::shard_sim(std::size_t i) {
-  return engine_.shard(map_.shard_of(i));
-}
-
-sim::SimTime ChurnScenario::jittered(Rng& rng, sim::SimTime mean) {
-  const auto span = static_cast<std::uint64_t>(std::max<sim::SimTime>(1, mean));
-  return mean / 2 + static_cast<sim::SimTime>(rng.uniform_index(span));
+sim::SimTime ChurnScenario::jittered(Rng& rng) {
+  return kThink / 2 + static_cast<sim::SimTime>(rng.uniform_index(kThink));
 }
 
 void ChurnScenario::seed_population() {
-  for (Shard& shard : shards_) {
+  for (Namespace& space : namespaces_) {
     for (std::size_t f = 0; f < params_.initial_files; ++f) {
-      const std::uint32_t project = static_cast<std::uint32_t>(
-          shard.rng.uniform_index(std::max<std::uint32_t>(1, params_.projects)));
+      const std::uint32_t project =
+          static_cast<std::uint32_t>(space.rng.uniform_index(kProjects));
       const fs::FileId id =
-          shard.ns->create_file(project, params_.file_bytes, 0, shard.rng);
+          space.ns->create_file(project, kFileBytes, 0, space.rng);
       if (id == fs::kNoFile) {
-        ++shard.totals.refused;
+        ++space.totals.refused;
         continue;
       }
-      ++shard.totals.creates;
-      shard.pool.push_back(id);
+      ++space.totals.creates;
+      space.pool.push_back(id);
     }
     // The seeded population is one committed transaction: consumers may
     // start from a fully durable baseline.
-    shard.log.commit(shard.log.last_txid());
-    shard.ops_since_commit = 0;
+    space.log.commit(space.log.last_txid());
+    space.ops_since_commit = 0;
   }
 }
 
 void ChurnScenario::start() {
   const sim::Site loc;
-  for (std::size_t i = 0; i < shards_.size(); ++i) {
-    Shard& shard = shards_[i];
-    for (std::size_t a = 0; a < params_.actors_per_namespace; ++a) {
-      const sim::SimTime at = jittered(shard.rng, params_.think) / 2;
-      shard_sim(i).schedule_at(
+  for (std::size_t i = 0; i < namespaces_.size(); ++i) {
+    Namespace& space = namespaces_[i];
+    for (std::size_t a = 0; a < kActorsPerNamespace; ++a) {
+      const sim::SimTime at = jittered(space.rng) / 2;
+      sim_.schedule_at(
           at,
           [this, i, loc] { actor_step(i, params_.ops_per_actor, loc); }, loc);
     }
@@ -103,116 +94,112 @@ void ChurnScenario::start() {
 void ChurnScenario::actor_step(std::size_t i, std::size_t remaining,
                                sim::Site loc) {
   if (remaining == 0) return;
-  Shard& shard = shards_[i];
-  one_op(shard, shard_sim(i).now());
-  maybe_commit(shard);
-  const sim::SimTime gap = jittered(shard.rng, params_.think);
-  shard_sim(i).schedule_in(
+  Namespace& space = namespaces_[i];
+  one_op(space, sim_.now());
+  maybe_commit(space);
+  const sim::SimTime gap = jittered(space.rng);
+  sim_.schedule_in(
       gap, [this, i, remaining, loc] { actor_step(i, remaining - 1, loc); },
       loc);
 }
 
-void ChurnScenario::one_op(Shard& shard, sim::SimTime now) {
+void ChurnScenario::one_op(Namespace& space, sim::SimTime now) {
   // Mix: 30% create, 20% unlink, 20% touch, 20% resize, 10% setproject.
   // With an empty pool everything degrades to create.
-  const std::uint64_t roll = shard.rng.uniform_index(10);
-  const bool have_files = !shard.pool.empty();
+  const std::uint64_t roll = space.rng.uniform_index(10);
+  const bool have_files = !space.pool.empty();
   if (roll < 3 || !have_files) {
-    const std::uint32_t project = static_cast<std::uint32_t>(
-        shard.rng.uniform_index(std::max<std::uint32_t>(1, params_.projects)));
+    const std::uint32_t project =
+        static_cast<std::uint32_t>(space.rng.uniform_index(kProjects));
     const fs::FileId id =
-        shard.ns->create_file(project, params_.file_bytes, now, shard.rng);
+        space.ns->create_file(project, kFileBytes, now, space.rng);
     if (id == fs::kNoFile) {
-      ++shard.totals.refused;
+      ++space.totals.refused;
       return;
     }
-    ++shard.totals.creates;
-    shard.pool.push_back(id);
+    ++space.totals.creates;
+    space.pool.push_back(id);
     return;
   }
   const std::size_t pick =
-      static_cast<std::size_t>(shard.rng.uniform_index(shard.pool.size()));
-  const fs::FileId victim = shard.pool[pick];
-  if (!shard.ns->exists(victim)) {
+      static_cast<std::size_t>(space.rng.uniform_index(space.pool.size()));
+  const fs::FileId victim = space.pool[pick];
+  if (!space.ns->exists(victim)) {
     // An external consumer (the purge daemon) unlinked it since we last
     // looked — the client's op races the policy engine and loses.
-    ++shard.totals.refused;
-    shard.pool[pick] = shard.pool.back();
-    shard.pool.pop_back();
+    ++space.totals.refused;
+    space.pool[pick] = space.pool.back();
+    space.pool.pop_back();
     return;
   }
   if (roll < 5) {
-    if (shard.ns->unlink(victim, now)) {
-      ++shard.totals.unlinks;
-      shard.pool[pick] = shard.pool.back();
-      shard.pool.pop_back();
+    if (space.ns->unlink(victim, now)) {
+      ++space.totals.unlinks;
+      space.pool[pick] = space.pool.back();
+      space.pool.pop_back();
     } else {
-      ++shard.totals.refused;
+      ++space.totals.refused;
     }
   } else if (roll < 7) {
-    shard.ns->touch_file(victim, now);
-    ++shard.totals.touches;
+    space.ns->touch_file(victim, now);
+    ++space.totals.touches;
   } else if (roll < 9) {
     // Resize within [1/2, 2) of the nominal size so the fleet never fills.
-    const Bytes lo = params_.file_bytes / 2;
+    const Bytes lo = kFileBytes / 2;
     const Bytes new_size =
-        lo + static_cast<Bytes>(shard.rng.uniform_index(
-                 std::max<Bytes>(1, params_.file_bytes + params_.file_bytes / 2)));
-    if (shard.ns->resize_file(victim, new_size, now)) {
-      ++shard.totals.resizes;
+        lo + space.rng.uniform_index(kFileBytes + kFileBytes / 2);
+    if (space.ns->resize_file(victim, new_size, now)) {
+      ++space.totals.resizes;
     } else {
-      ++shard.totals.refused;
+      ++space.totals.refused;
     }
   } else {
-    const std::uint32_t project = static_cast<std::uint32_t>(
-        shard.rng.uniform_index(std::max<std::uint32_t>(1, params_.projects)));
-    if (shard.ns->set_project(victim, project, now)) {
-      ++shard.totals.setprojects;
+    const std::uint32_t project =
+        static_cast<std::uint32_t>(space.rng.uniform_index(kProjects));
+    if (space.ns->set_project(victim, project, now)) {
+      ++space.totals.setprojects;
     } else {
-      ++shard.totals.refused;
+      ++space.totals.refused;
     }
   }
 }
 
-void ChurnScenario::maybe_commit(Shard& shard) {
-  ++shard.ops_since_commit;
-  if (shard.ops_since_commit < std::max<std::size_t>(1, params_.commit_every)) {
-    return;
-  }
-  shard.log.commit(shard.log.last_txid());
-  shard.ops_since_commit = 0;
+void ChurnScenario::maybe_commit(Namespace& space) {
+  if (++space.ops_since_commit < kCommitEvery) return;
+  space.log.commit(space.log.last_txid());
+  space.ops_since_commit = 0;
 }
 
 void ChurnScenario::commit_all() {
-  for (Shard& shard : shards_) {
-    shard.log.commit(shard.log.last_txid());
-    shard.ops_since_commit = 0;
+  for (Namespace& space : namespaces_) {
+    space.log.commit(space.log.last_txid());
+    space.ops_since_commit = 0;
   }
 }
 
 ChurnTotals ChurnScenario::totals() const {
   ChurnTotals sum;
-  for (const Shard& shard : shards_) {
-    sum.creates += shard.totals.creates;
-    sum.unlinks += shard.totals.unlinks;
-    sum.touches += shard.totals.touches;
-    sum.resizes += shard.totals.resizes;
-    sum.setprojects += shard.totals.setprojects;
-    sum.refused += shard.totals.refused;
+  for (const Namespace& space : namespaces_) {
+    sum.creates += space.totals.creates;
+    sum.unlinks += space.totals.unlinks;
+    sum.touches += space.totals.touches;
+    sum.resizes += space.totals.resizes;
+    sum.setprojects += space.totals.setprojects;
+    sum.refused += space.totals.refused;
   }
   return sum;
 }
 
 std::uint64_t ChurnScenario::logical_files() const {
   std::uint64_t live = 0;
-  for (const Shard& shard : shards_) live += shard.ns->live_files();
+  for (const Namespace& space : namespaces_) live += space.ns->live_files();
   return live * params_.cohort;
 }
 
 Bytes ChurnScenario::logical_bytes() const {
   Bytes physical = 0;
-  for (const Shard& shard : shards_) {
-    for (const auto& [project, bytes] : shard.ns->usage_by_project()) {
+  for (const Namespace& space : namespaces_) {
+    for (const auto& [project, bytes] : space.ns->usage_by_project()) {
       physical += bytes;
     }
   }

@@ -40,7 +40,6 @@ CenterConfig spider1_config() {
   cfg.ssu.disk.capacity = 1_TB;
   block::ControllerParams ctrl;
   ctrl.per_controller_bw = 2.8 * kGBps;  // DDN S2A9900 couplet class
-  ctrl.per_controller_iops = 80e3;
   cfg.ssu.controller = ctrl;
   cfg.oss_count = 192;
   cfg.namespaces = 4;

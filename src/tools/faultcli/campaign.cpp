@@ -524,7 +524,7 @@ void FaultCampaign::add_oracles() {
   suite_.add(make_raid_read_oracle(std::move(groups)));
   suite_.add(make_rebuild_monotone_oracle(rebuilds_));
   suite_.add(make_namespace_journal_oracle(*ns_, journal_));
-  suite_.add(make_purge_age_oracle(purge_reports_, cfg_.purge_window_days));
+  suite_.add(make_purge_age_oracle(purge_reports_, kPurgeWindowDays));
 }
 
 void FaultCampaign::every(sim::SimTime interval, std::function<void()> fn) {
@@ -581,7 +581,7 @@ void FaultCampaign::do_read() {
 
 void FaultCampaign::do_purge() {
   fs::PurgePolicy policy;
-  policy.window_days = cfg_.purge_window_days;
+  policy.window_days = kPurgeWindowDays;
   // Every unlink the sweep performs lands in the op journal through the
   // attached changelog (state only — no simulator events — so replay
   // hashes are untouched); the campaign commits the batch afterwards,
@@ -624,11 +624,11 @@ RunVerdict FaultCampaign::run() {
 
 void FaultCampaign::prepare() {
   injector_.arm(plan_);
-  suite_.schedule_checks(cfg_.oracle_interval, horizon_);
-  every(cfg_.create_interval, [this] { do_create(); });
-  every(cfg_.read_interval, [this] { do_read(); });
-  every(cfg_.purge_interval, [this] { do_purge(); });
-  every(cfg_.oracle_interval, [this] { rebuilds_.sample(sim_.now()); });
+  suite_.schedule_checks(kOracleInterval, horizon_);
+  every(kCreateInterval, [this] { do_create(); });
+  every(kReadInterval, [this] { do_read(); });
+  every(kPurgeInterval, [this] { do_purge(); });
+  every(kOracleInterval, [this] { rebuilds_.sample(sim_.now()); });
 }
 
 RunVerdict FaultCampaign::finish() {

@@ -114,14 +114,6 @@ struct CampaignConfig {
   std::size_t enclosures = 10;
   /// 0 = use the plan's horizon_s.
   Seconds horizon_s = 0.0;
-  sim::SimTime oracle_interval = 5 * sim::kSecond;
-  sim::SimTime create_interval = 2 * sim::kSecond;
-  sim::SimTime read_interval = 3 * sim::kSecond;
-  sim::SimTime purge_interval = 60 * sim::kSecond;
-  /// Purge window small enough that sweeps actually delete files within a
-  /// few-hundred-second horizon (the production 14d cadence is exercised by
-  /// fs tests; campaigns need churn).
-  double purge_window_days = 0.002;
 };
 
 /// Mutation target bounds matching the cluster `cfg` builds.
@@ -216,6 +208,16 @@ class FaultCampaign {
   FsckOutcome fsck_and_reverify();
 
  private:
+  /// Workload driver and oracle sweep cadence.
+  static constexpr sim::SimTime kOracleInterval = 5 * sim::kSecond;
+  static constexpr sim::SimTime kCreateInterval = 2 * sim::kSecond;
+  static constexpr sim::SimTime kReadInterval = 3 * sim::kSecond;
+  static constexpr sim::SimTime kPurgeInterval = 60 * sim::kSecond;
+  /// Purge window small enough that sweeps actually delete files within a
+  /// few-hundred-second horizon (the production 14d cadence is exercised by
+  /// fs tests; campaigns need churn).
+  static constexpr double kPurgeWindowDays = 0.002;
+
   /// Arm the plan and schedule the workload drivers + oracle sweeps.
   void prepare();
   /// Collect telemetry into the verdict once the horizon is reached.

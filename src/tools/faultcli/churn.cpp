@@ -4,13 +4,24 @@
 #include <sstream>
 
 #include "fs/purge.hpp"
-#include "sim/sharded_sim.hpp"
 #include "tools/faultcli/campaign.hpp"
 #include "tools/lustredu.hpp"
 
 namespace spider::tools {
 
 namespace {
+
+/// Purge policy window. The ~86 ms of sim time is tuned to the scenario's
+/// think time and ops so sweeps actually purge: idle files age out within
+/// a run.
+constexpr double kPurgeWindowDays = 1e-6;
+/// Sweeps fire every kPurgeEvery epochs.
+constexpr std::size_t kPurgeEvery = 2;
+/// Purge class scope: only this project (the scratch area) is swept; all
+/// projects under the tight window would raze the whole population.
+constexpr std::uint32_t kPurgeProject = 0;
+/// du queries per epoch (projects 0..kQueryProjects-1).
+constexpr std::uint32_t kQueryProjects = 4;
 
 /// Sum of every namespace's walk counter — the fence reads this before and
 /// after the query window.
@@ -31,9 +42,8 @@ void fold(ChurnVerdict& verdict, const fs::ConsumeResult& res) {
 ChurnVerdict run_churn(const ChurnRunConfig& cfg) {
   ChurnVerdict verdict;
 
-  sim::ShardedSimulator engine(std::max<std::size_t>(1, cfg.engine_shards));
-  const sim::ShardMap map(cfg.params.namespaces, engine.shards());
-  core::ChurnScenario scenario(cfg.params, engine, map);
+  sim::Simulator sim;
+  core::ChurnScenario scenario(cfg.params, sim);
   scenario.seed_population();
 
   const std::size_t n = scenario.namespace_count();
@@ -43,7 +53,7 @@ ChurnVerdict run_churn(const ChurnRunConfig& cfg) {
   LustreDu du;
   fs::PurgeRules rules;
   rules.classes.push_back(
-      fs::PurgeClass{cfg.purge_window_days, 0, cfg.purge_project});
+      fs::PurgeClass{kPurgeWindowDays, 0, kPurgeProject});
   std::vector<std::unique_ptr<fs::PurgeEngine>> purgers;
   std::vector<std::unique_ptr<fs::ChangelogAccounting>> audit;
   std::vector<std::unique_ptr<sim::Oracle>> oracles;
@@ -64,21 +74,23 @@ ChurnVerdict run_churn(const ChurnRunConfig& cfg) {
   // Epoch horizon: actors go quiet after ~think * ops_per_actor; pad so the
   // final barrier lands after the last op.
   const sim::SimTime total_span =
-      cfg.params.think * static_cast<sim::SimTime>(cfg.params.ops_per_actor + 2);
+      core::ChurnScenario::kThink *
+      static_cast<sim::SimTime>(cfg.params.ops_per_actor + 2);
   const std::size_t epochs = std::max<std::size_t>(1, cfg.epochs);
   const sim::SimTime epoch_span =
       total_span / static_cast<sim::SimTime>(epochs) + 1;
+  const std::size_t crash_epoch = (epochs - 1) / 2;
 
   for (std::size_t e = 0; e < epochs; ++e) {
     const sim::SimTime horizon =
         epoch_span * static_cast<sim::SimTime>(e + 1);
-    verdict.events += engine.run(horizon);
+    verdict.events += sim.run(horizon);
     scenario.commit_all();
 
     // MDS crash at the barrier: namespace 0's log rewinds below the
     // consumers' cursors — future appends will reuse the lost txids, so
     // silent absorption would corrupt every table downstream.
-    if (cfg.crash && e == cfg.crash_epoch && !verdict.crash_injected) {
+    if (cfg.crash && e == crash_epoch) {
       fs::OpLog& log = scenario.log(0);
       log.truncate_to(log.committed() / 2);
       verdict.crash_injected = true;
@@ -96,15 +108,15 @@ ChurnVerdict run_churn(const ChurnRunConfig& cfg) {
         if (!res.cursor_ahead) fold(verdict, res);
         rewound = rewound || res.cursor_ahead;
       }
-      if (cfg.purge_every > 0 && (e + 1) % cfg.purge_every == 0) {
+      if ((e + 1) % kPurgeEvery == 0) {
         for (auto& purger : purgers) {
           const fs::PurgeReport report = purger->sweep(horizon);
           verdict.purged += report.purged;
           verdict.purge_freed += report.freed;
         }
       }
-      for (std::size_t p = 0; p < cfg.query_projects; ++p) {
-        const DuCost cost = du.usage(static_cast<std::uint32_t>(p));
+      for (std::uint32_t p = 0; p < kQueryProjects; ++p) {
+        const DuCost cost = du.usage(p);
         if (cost.stale) {
           verdict.violations.push_back(sim::OracleViolation{
               "du-freshness", horizon,
@@ -156,7 +168,6 @@ std::string churn_verdict_json(const ChurnRunConfig& cfg,
                                const ChurnVerdict& verdict) {
   std::ostringstream os;
   os << "{\"scenario\": \"churn\", \"namespaces\": " << cfg.params.namespaces
-     << ", \"engine_shards\": " << cfg.engine_shards
      << ", \"cohort\": " << cfg.params.cohort
      << ", \"seed\": " << cfg.params.seed
      << ", \"epochs\": " << verdict.epochs

@@ -1,10 +1,9 @@
 // Billion-entry churn runner: the changelog era's acceptance harness.
 //
 // Drives core::ChurnScenario (DNE namespaces under create/unlink/touch/
-// resize/setproject churn, cohort-scaled past 1e9 logical files) on the
-// sharded engine — spiderfault --churn --shards=N sets its width, and
-// namespaces really spread over the shards — with the full consumer stack
-// attached, polled at each epoch barrier on the calling thread:
+// resize/setproject churn, cohort-scaled past 1e9 logical files) on one
+// serial sim::Simulator, run to a barrier per epoch, with the full consumer
+// stack attached and polled at each barrier:
 //
 //   - tools::LustreDu following every namespace's changelog, one
 //     accounting table per namespace,
@@ -18,11 +17,13 @@
 // move — the O(Δ)-not-O(N) claim, asserted, not assumed. Oracle audits
 // and post-crash resyncs walk deliberately, outside the fence.
 //
-// --churn-crash injects an MDS crash at an epoch barrier: one namespace's
-// log is truncated below its committed cursor (this is why the runner
-// lives in faultcli — truncate_to belongs to the fault and repair
-// tooling). Consumers must *detect* the rewind (cursor_ahead), resync
-// from ground truth, and be green again at the next barrier.
+// --churn-crash injects an MDS crash at the middle barrier, zero-based
+// index (epochs - 1) / 2 (barrier 3 of 0..7 at the default 8 epochs), so
+// every epoch count crashes: one namespace's log is truncated below its
+// committed cursor (this is why the runner lives in faultcli — truncate_to
+// belongs to the fault and repair tooling). Consumers must *detect* the
+// rewind (cursor_ahead) and resync from ground truth at that barrier, and
+// the oracles must stay green from then on.
 #pragma once
 
 #include <cstdint>
@@ -36,24 +37,10 @@ namespace spider::tools {
 
 struct ChurnRunConfig {
   core::ChurnParams params;
-  /// Sharded-engine fan-out hosting the scenario.
-  std::size_t engine_shards = 4;
   /// Barriers at which consumers poll, queries run, and oracles audit.
   std::size_t epochs = 8;
-  /// Purge policy window; sweeps fire every `purge_every` epochs (0 = off).
-  /// The default (~86ms of sim time) is tuned to the default think/ops
-  /// shape so sweeps actually purge: idle files age out within a run.
-  double purge_window_days = 1e-6;
-  std::size_t purge_every = 2;
-  /// Purge class scope: only this project is swept (the scratch area).
-  /// UINT32_MAX sweeps every project — with the tight default window that
-  /// razes the whole population, so scope it when asserting 1B+ residents.
-  std::uint32_t purge_project = 0;
-  /// du queries per epoch (projects 0..query_projects-1).
-  std::size_t query_projects = 4;
-  /// Inject a log-rewind crash on namespace 0 after `crash_epoch` runs.
+  /// Inject a log-rewind crash on namespace 0 at the middle barrier.
   bool crash = false;
-  std::size_t crash_epoch = 3;
   /// Verdict fails below this logical-file floor (0 = don't check).
   std::uint64_t min_logical_files = 0;
 };
@@ -80,8 +67,7 @@ struct ChurnVerdict {
   std::vector<sim::OracleViolation> violations;
 };
 
-/// Run the scenario on an auto-width lane team; deterministic in (cfg) —
-/// engine shards and lanes never change the outcome, only the wall clock.
+/// Run the scenario; deterministic in (cfg).
 ChurnVerdict run_churn(const ChurnRunConfig& cfg);
 
 /// One-line JSON verdict, shaped like the campaign's verdict lines.

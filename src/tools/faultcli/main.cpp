@@ -25,9 +25,8 @@
 //   --churn-crash              inject a log-rewind crash mid-run; the run
 //                              fails unless consumers detect and resync
 //   --churn-min-logical=N      fail the verdict below N logical files
-//   --shards=N                 sharded-engine fan-out hosting the churn
-//                              namespaces (default 4; churn mode only)
-//   (--base-seed applies to churn mode too)
+//   (--base-seed applies to churn mode too; any other flag of one mode is
+//   a usage error in the other)
 //
 // One JSON verdict line per run: plan name, seed, replay hash, stream hash,
 // telemetry, and the oracle violations (see docs/fault-injection.md for how
@@ -62,8 +61,7 @@ int usage(const char* argv0) {
                "       [--fsck] <plan.fplan>...\n"
                "   or: %s --churn [--churn-namespaces=N] [--churn-files=N]\n"
                "       [--churn-cohort=N] [--churn-ops=N] [--churn-epochs=N]\n"
-               "       [--churn-crash] [--churn-min-logical=N] [--shards=N]\n"
-               "       [--base-seed=S]\n",
+               "       [--churn-crash] [--churn-min-logical=N] [--base-seed=S]\n",
                argv0,
                argv0);
   return 2;
@@ -79,16 +77,25 @@ int main(int argc, char** argv) {
   bool have_base_seed = false;
   std::uint64_t mutations = 0;
   std::uint64_t jobs = 1;
-  std::uint64_t engine_shards = 0;  // churn mode only
   double horizon_s = 0.0;
   bool expect_violations = false;
   bool fsck = false;
   bool churn = false;
   tools::ChurnRunConfig churn_cfg;
   std::vector<std::string> plan_paths;
+  // The last flag seen that only plan mode / only churn mode reads.
+  std::string_view plan_flag;
+  std::string_view churn_flag;
 
   for (int i = 1; i < argc; ++i) {
     const std::string_view arg = argv[i];
+    const std::string_view flag = arg.substr(0, arg.find('='));
+    if (flag.starts_with("--churn-")) {
+      churn_flag = flag;
+    } else if (flag.starts_with("--") && flag != "--churn" &&
+               flag != "--base-seed") {
+      plan_flag = flag;
+    }
     if (arg.starts_with("--seeds=")) {
       if (!parse_count(arg.substr(8), seeds) || seeds == 0) {
         return usage(argv[0]);
@@ -100,10 +107,6 @@ int main(int argc, char** argv) {
       if (!parse_count(arg.substr(12), mutations)) return usage(argv[0]);
     } else if (arg.starts_with("--jobs=")) {
       if (!parse_count(arg.substr(7), jobs) || jobs == 0) {
-        return usage(argv[0]);
-      }
-    } else if (arg.starts_with("--shards=")) {
-      if (!parse_count(arg.substr(9), engine_shards) || engine_shards == 0) {
         return usage(argv[0]);
       }
     } else if (arg.starts_with("--horizon-s=")) {
@@ -155,21 +158,23 @@ int main(int argc, char** argv) {
       std::fprintf(stderr, "spiderfault: --churn takes no plan files\n");
       return usage(argv[0]);
     }
-    if (engine_shards > 0) {
-      churn_cfg.engine_shards = static_cast<std::size_t>(engine_shards);
+    if (!plan_flag.empty()) {
+      std::fprintf(stderr, "spiderfault: %.*s is a plan-mode flag; --churn "
+                   "does not read it\n",
+                   static_cast<int>(plan_flag.size()), plan_flag.data());
+      return usage(argv[0]);
     }
     if (have_base_seed) churn_cfg.params.seed = base_seed;
     const tools::ChurnVerdict verdict = tools::run_churn(churn_cfg);
     std::printf("%s\n", tools::churn_verdict_json(churn_cfg, verdict).c_str());
     return verdict.ok ? 0 : 1;
   }
-  if (plan_paths.empty()) return usage(argv[0]);
-  if (engine_shards > 0) {
-    std::fprintf(stderr,
-                 "spiderfault: --shards applies to --churn only; campaigns "
-                 "run on the serial engine\n");
+  if (!churn_flag.empty()) {
+    std::fprintf(stderr, "spiderfault: %.*s needs --churn\n",
+                 static_cast<int>(churn_flag.size()), churn_flag.data());
     return usage(argv[0]);
   }
+  if (plan_paths.empty()) return usage(argv[0]);
 
   tools::CampaignConfig cfg;
   cfg.horizon_s = horizon_s;  // 0 = per-plan horizon

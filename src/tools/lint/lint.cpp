@@ -74,18 +74,10 @@ std::vector<Finding> lint_scanned(const SourceFile& file,
   const FileClass cls = opts.forced_class.has_value()
                             ? *opts.forced_class
                             : classify_path(file.path);
-  return lint_file(file, cls, paired_header, opts.rules);
+  return lint_file(file, cls, paired_header);
 }
 
 namespace {
-
-/// Baseline-style path matching for --only: exact, or a path suffix at a
-/// '/' boundary ("fs/ost.cpp" matches "src/fs/ost.cpp").
-bool path_matches(const std::string& file, const std::string& pattern) {
-  if (file == pattern) return true;
-  return file.size() > pattern.size() && file.ends_with(pattern) &&
-         file[file.size() - pattern.size() - 1] == '/';
-}
 
 double elapsed_ms(std::chrono::steady_clock::time_point from,
                   std::chrono::steady_clock::time_point to) {
@@ -140,25 +132,12 @@ LintReport lint_paths(const std::vector<std::string>& paths,
   }
   const Clock::time_point t2 = Clock::now();
 
-  std::vector<Finding> project = lint_project(scanned, opts.rules);
+  std::vector<Finding> project = lint_project(scanned);
   report.findings.insert(report.findings.end(),
                          std::make_move_iterator(project.begin()),
                          std::make_move_iterator(project.end()));
   const Clock::time_point t3 = Clock::now();
 
-  // --only filters what is *reported*; everything above still saw the full
-  // file set (an include cycle needs every file on it).
-  if (!opts.report_only.empty()) {
-    report.findings.erase(
-        std::remove_if(report.findings.begin(), report.findings.end(),
-                       [&](const Finding& f) {
-                         for (const std::string& pat : opts.report_only) {
-                           if (path_matches(f.file, pat)) return false;
-                         }
-                         return true;
-                       }),
-        report.findings.end());
-  }
   // stable_sort: equal keys keep their (deterministic) insertion order, so
   // two findings sharing file/line/column/rule can never flip bytes
   // between runs.

@@ -12,16 +12,9 @@ namespace spider::lint {
 
 /// Driver options.
 struct LintOptions {
-  RuleSet rules;
   /// When set, overrides path-based classification for every file (used to
   /// lint fixture files that live outside src/).
   std::optional<FileClass> forced_class;
-  /// When non-empty, only findings in matching files are *reported*
-  /// (exact path or path-suffix at a '/' boundary, like baseline entries).
-  /// The L5 include graph is still built from every input file:
-  /// scripts/lint.sh --changed lints the full tree and filters the report,
-  /// because an include cycle reported for one file runs through others.
-  std::vector<std::string> report_only;
 };
 
 /// Expand paths (files or directories) into a sorted, deduplicated list of

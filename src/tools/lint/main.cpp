@@ -3,7 +3,6 @@
 // Usage: spiderlint [options] <path>...
 //   --format=text|json|sarif  output format (default text)
 //   --fix-hints          include fix-it hints and a per-rule digest (text)
-//   --rules=L1,L3        run only the listed rules (default: all)
 //   --baseline=FILE      drop findings grandfathered in FILE
 //                        (RULE :: file :: message :: reason, line-number
 //                        independent); stale entries are warned to stderr
@@ -19,11 +18,6 @@
 //                        wall_ms=N scan_ms=N rules_ms=N global_ms=N` to
 //                        stderr (CI surfaces it in the job summary;
 //                        global_ms times the L5 include-graph pass)
-//   --only=PATH          report findings only for matching files (exact or
-//                        path-suffix, repeatable). The L5 include graph
-//                        still sees every input file — scripts/lint.sh
-//                        --changed relies on this, because an include cycle
-//                        reported for one file runs through the others.
 //   --treat-as=CLASS     force file classification: sim-critical, src,
 //                        header, calib (repeatable; for linting fixtures
 //                        that live outside src/)
@@ -57,9 +51,8 @@ void print_rule_table() {
 int usage(const char* argv0) {
   std::fprintf(stderr,
                "usage: %s [--format=text|json|sarif] [--fix-hints]\n"
-               "       [--rules=L1,..] [--baseline=FILE] [--write-baseline]\n"
+               "       [--baseline=FILE] [--write-baseline]\n"
                "       [--prune-baseline] [--stale=warn|error] [--stats]\n"
-               "       [--only=PATH]...\n"
                "       [--treat-as=sim-critical|src|header|calib]...\n"
                "       [--list-rules] <path>...\n",
                argv0);
@@ -123,44 +116,6 @@ int main(int argc, char** argv) {
                      static_cast<int>(fmt.size()), fmt.data());
         return usage(argv[0]);
       }
-    } else if (arg.starts_with("--rules=")) {
-      opts.rules = RuleSet::none();
-      std::string_view list = arg.substr(8);
-      while (!list.empty()) {
-        const std::size_t comma = list.find(',');
-        const std::string_view id = list.substr(0, comma);
-        if (id == "L1") {
-          opts.rules.l1 = true;
-        } else if (id == "L2") {
-          opts.rules.l2 = true;
-        } else if (id == "L3") {
-          opts.rules.l3 = true;
-        } else if (id == "L4") {
-          opts.rules.l4 = true;
-        } else if (id == "L5") {
-          opts.rules.l5 = true;
-        } else if (id == "L6") {
-          opts.rules.l6 = true;
-        } else if (id == "L7") {
-          opts.rules.l7 = true;
-        } else if (id == "L8") {
-          opts.rules.l8 = true;
-        } else if (id == "L9") {
-          opts.rules.l9 = true;
-        } else if (id == "L10") {
-          opts.rules.l10 = true;
-        } else if (id == "L11") {
-          opts.rules.l11 = true;
-        } else if (id == "L12") {
-          opts.rules.l12 = true;
-        } else {
-          std::fprintf(stderr, "spiderlint: unknown rule '%.*s'\n",
-                       static_cast<int>(id.size()), id.data());
-          return usage(argv[0]);
-        }
-        if (comma == std::string_view::npos) break;
-        list.remove_prefix(comma + 1);
-      }
     } else if (arg.starts_with("--treat-as=")) {
       const std::string_view cls = arg.substr(11);
       if (cls == "sim-critical") {
@@ -180,13 +135,6 @@ int main(int argc, char** argv) {
         return usage(argv[0]);
       }
       have_forced = true;
-    } else if (arg.starts_with("--only=")) {
-      const std::string_view pat = arg.substr(7);
-      if (pat.empty()) {
-        std::fprintf(stderr, "spiderlint: --only needs a path\n");
-        return usage(argv[0]);
-      }
-      opts.report_only.emplace_back(pat);
     } else if (arg.starts_with("--")) {
       std::fprintf(stderr, "spiderlint: unknown option '%s'\n", argv[i]);
       return usage(argv[0]);
@@ -222,18 +170,7 @@ int main(int argc, char** argv) {
         parse_baseline(buf.str(), errors);
     const std::vector<BaselineEntry> stale = apply_baseline(report, entries);
     stale_count = stale.size();
-    if (!opts.report_only.empty()) {
-      // A narrowed report cannot tell "fixed" from "not reported this
-      // time": entries for files outside --only would all read as stale,
-      // and pruning on that evidence would delete live entries.
-      if (prune_baseline) {
-        std::fprintf(stderr,
-                     "spiderlint: refusing --prune-baseline with --only "
-                     "(a narrowed report cannot judge staleness)\n");
-        return 2;
-      }
-      stale_count = 0;
-    } else if (prune_baseline) {
+    if (prune_baseline) {
       std::size_t pruned = 0;
       const std::string rewritten =
           prune_baseline_text(buf.str(), stale, pruned);

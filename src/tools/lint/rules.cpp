@@ -1220,29 +1220,6 @@ const RuleInfo* rule(std::string_view id) {
   return nullptr;
 }
 
-bool RuleSet::enabled(std::string_view id) const {
-  if (id == "L1") return l1;
-  if (id == "L2") return l2;
-  if (id == "L3") return l3;
-  if (id == "L4") return l4;
-  if (id == "L5") return l5;
-  if (id == "L6") return l6;
-  if (id == "L7") return l7;
-  if (id == "L8") return l8;
-  if (id == "L9") return l9;
-  if (id == "L10") return l10;
-  if (id == "L11") return l11;
-  if (id == "L12") return l12;
-  return false;
-}
-
-RuleSet RuleSet::none() {
-  RuleSet off;
-  off.l1 = off.l2 = off.l3 = off.l4 = off.l5 = off.l6 = false;
-  off.l7 = off.l8 = off.l9 = off.l10 = off.l11 = off.l12 = false;
-  return off;
-}
-
 FileClass classify_path(std::string_view path) {
   FileClass cls;
   std::vector<std::string_view> parts;
@@ -1288,8 +1265,7 @@ FileClass classify_path(std::string_view path) {
 }
 
 std::vector<Finding> lint_file(const SourceFile& file, const FileClass& cls,
-                               const SourceFile* paired_header,
-                               const RuleSet& enabled) {
+                               const SourceFile* paired_header) {
   std::vector<Finding> out;
   const TokenStream stream = tokenize(file);
   TokenStream header_stream;
@@ -1300,21 +1276,17 @@ std::vector<Finding> lint_file(const SourceFile& file, const FileClass& cls,
   if (cls.in_tests || cls.in_bench) {
     // Tests and benches get the hygiene rules only: no unordered iteration,
     // no ambient nondeterminism. Style/flow rules stay src-scoped.
-    if (enabled.l1) run_l1(file, stream, header, out);
-    if (enabled.l2) run_l2(file, stream, cls, out);
+    run_l1(file, stream, header, out);
+    run_l2(file, stream, cls, out);
     sort_findings(out);
     return out;
   }
 
-  if (enabled.l1 && cls.sim_critical) run_l1(file, stream, header, out);
-  if (enabled.l2 && cls.in_src) run_l2(file, stream, cls, out);
-  if (enabled.l3 && cls.in_src && cls.is_header) run_l3(file, stream, out);
-  if (enabled.l4 && cls.in_src) run_l4(file, stream, out);
-
-  const bool concurrency_rules =
-      enabled.l9 || enabled.l10 || enabled.l11 || enabled.l12;
-  if (cls.in_src &&
-      (enabled.l6 || enabled.l7 || enabled.l8 || concurrency_rules)) {
+  if (cls.sim_critical) run_l1(file, stream, header, out);
+  if (cls.in_src) {
+    run_l2(file, stream, cls, out);
+    if (cls.is_header) run_l3(file, stream, out);
+    run_l4(file, stream, out);
     const FileSymbols syms = index_symbols(stream);
     FileSymbols header_syms;
     const FileSymbols* hsyms = nullptr;
@@ -1322,27 +1294,23 @@ std::vector<Finding> lint_file(const SourceFile& file, const FileClass& cls,
       header_syms = index_symbols(*header);
       hsyms = &header_syms;
     }
-    if (enabled.l6) run_l6(file, stream, syms, hsyms, out);
-    if (enabled.l7) run_l7(file, stream, syms, hsyms, out);
-    if (enabled.l8 && cls.calib_scope) run_l8(file, stream, syms, out);
-    if (concurrency_rules) {
-      const ConcurrencyInfo info(stream, syms, header, hsyms,
-                                 merged_shard_owned(syms, hsyms));
-      if (enabled.l9) run_l9(file, stream, info, out);
-      if (enabled.l10) run_l10(file, stream, syms, info, out);
-      if (enabled.l11) run_l11(file, stream, out);
-      if (enabled.l12) run_l12(file, stream, syms, info, out);
-    }
+    run_l6(file, stream, syms, hsyms, out);
+    run_l7(file, stream, syms, hsyms, out);
+    if (cls.calib_scope) run_l8(file, stream, syms, out);
+    const ConcurrencyInfo info(stream, syms, header, hsyms,
+                               merged_shard_owned(syms, hsyms));
+    run_l9(file, stream, info, out);
+    run_l10(file, stream, syms, info, out);
+    run_l11(file, stream, out);
+    run_l12(file, stream, syms, info, out);
   }
 
   sort_findings(out);
   return out;
 }
 
-std::vector<Finding> lint_project(const std::vector<SourceFile>& files,
-                                  const RuleSet& enabled) {
+std::vector<Finding> lint_project(const std::vector<SourceFile>& files) {
   std::vector<Finding> out;
-  if (!enabled.l5) return out;
   const RuleInfo& info = *rule("L5");
 
   IncludeGraph graph;

@@ -110,25 +110,6 @@ const std::vector<RuleInfo>& rules();
 /// Lookup by id ("L1"); nullptr when unknown.
 const RuleInfo* rule(std::string_view id);
 
-/// Which rules run.
-struct RuleSet {
-  bool l1 = true;
-  bool l2 = true;
-  bool l3 = true;
-  bool l4 = true;
-  bool l5 = true;
-  bool l6 = true;
-  bool l7 = true;
-  bool l8 = true;
-  bool l9 = true;
-  bool l10 = true;
-  bool l11 = true;
-  bool l12 = true;
-  bool enabled(std::string_view id) const;
-  /// A RuleSet with every rule off (for --rules=... accumulation).
-  static RuleSet none();
-};
-
 /// How a file is scoped for rule applicability.
 struct FileClass {
   bool in_src = false;  ///< under src/: L2, L4, L6, L7, L9-L12 apply
@@ -145,17 +126,15 @@ struct FileClass {
 /// tests/lint_fixtures/l5_layering/src/... classify as src.
 FileClass classify_path(std::string_view path);
 
-/// Run the enabled per-file rules over one scanned file. `paired_header`,
+/// Run the per-file rules over one scanned file. `paired_header`,
 /// when given, seeds L1's identifier tracking and L6/L7's symbol index
 /// (guarded members, declaration access levels) with the file's own header.
 std::vector<Finding> lint_file(const SourceFile& file, const FileClass& cls,
-                               const SourceFile* paired_header = nullptr,
-                               const RuleSet& enabled = {});
+                               const SourceFile* paired_header = nullptr);
 
 /// Run the project-wide rules (L5 layering: upward includes and cycles)
 /// over a set of scanned files. Only files under a src/ component take part
 /// (the include graph is keyed by include spelling).
-std::vector<Finding> lint_project(const std::vector<SourceFile>& files,
-                                  const RuleSet& enabled = {});
+std::vector<Finding> lint_project(const std::vector<SourceFile>& files);
 
 }  // namespace spider::lint

@@ -25,9 +25,8 @@ DuCost client_du(fs::FsNamespace& ns, std::uint32_t project,
   return cost;
 }
 
-void LustreDu::daily_scan(const fs::FsNamespace& ns, sim::SimTime now) {
+void LustreDu::daily_scan(const fs::FsNamespace& ns) {
   usage_ = ns.usage_by_project();
-  last_scan_ = now;
   scanned_ = true;
 }
 
@@ -49,11 +48,6 @@ fs::ConsumeResult LustreDu::poll() {
   }
   polled_ = true;
   return merged;
-}
-
-void LustreDu::rebuild_feeds() {
-  for (Feed& feed : feeds_) feed.accounting.rebuild(*feed.log);
-  polled_ = true;
 }
 
 void LustreDu::resync_feed(std::size_t i, const fs::FsNamespace& ns) {

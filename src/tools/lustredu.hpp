@@ -21,7 +21,6 @@
 #include "common/units.hpp"
 #include "fs/changelog.hpp"
 #include "fs/fs_namespace.hpp"
-#include "sim/time.hpp"
 
 namespace spider::tools {
 
@@ -48,7 +47,7 @@ class LustreDu {
  public:
   /// Scan the namespace from the server side (once per day in production);
   /// cost is independent of query volume and does not touch the MDS.
-  void daily_scan(const fs::FsNamespace& ns, sim::SimTime now);
+  void daily_scan(const fs::FsNamespace& ns);
 
   /// Changelog mode: follow a namespace's op log; answers come from the
   /// accounting table as of the last poll() instead of the snapshot. May
@@ -60,17 +59,12 @@ class LustreDu {
   /// needing a rebuild makes the whole tool suspect).
   fs::ConsumeResult poll();
 
-  /// Recover a crash-rewound feed: drop and re-consume every feed's
-  /// committed prefix.
-  void rebuild_feeds();
-
   /// Last-resort resync of one feed from namespace ground truth — the
   /// daily-scan escape hatch for a log whose committed prefix no longer
   /// describes the namespace (an MDS crash rewound the log under live
   /// state). One namespace walk; the feed is incremental again afterwards.
   void resync_feed(std::size_t i, const fs::FsNamespace& ns);
 
-  sim::SimTime last_scan_time() const { return last_scan_; }
   /// A daily scan has actually run (an empty map alone proves nothing —
   /// an empty namespace scans to an empty map).
   bool has_snapshot() const { return scanned_; }
@@ -93,7 +87,6 @@ class LustreDu {
 
   /// Ordered by project id: the daily snapshot enumerates deterministically.
   std::map<std::uint32_t, Bytes> usage_;
-  sim::SimTime last_scan_ = 0;
   bool scanned_ = false;
   std::vector<Feed> feeds_;
   bool polled_ = false;

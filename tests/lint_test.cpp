@@ -97,16 +97,6 @@ TEST(SpiderLint, SuppressionsSilenceEveryScopedRule) {
   EXPECT_TRUE(r.clean()) << render_text(r, /*fix_hints=*/false);
 }
 
-TEST(SpiderLint, DisabledRulesDoNotRun) {
-  LintOptions opts;
-  opts.forced_class = kSimCritical;
-  opts.rules.l1 = false;
-  std::vector<std::string> errors;
-  const LintReport r =
-      lint_paths({fixture("l1_unordered_iteration.cpp")}, opts, errors);
-  EXPECT_TRUE(r.clean());
-}
-
 TEST(SpiderLint, TextReportCarriesFileLineRule) {
   const LintReport r =
       lint_fixture("l1_unordered_iteration.cpp", kSimCritical);
@@ -336,32 +326,6 @@ TEST(SpiderLint, SuppressionScopesAreExactlyScoped) {
   ASSERT_EQ(r.findings.size(), 1u) << render_text(r, /*fix_hints=*/false);
   EXPECT_EQ(r.findings[0].rule, "L1");
   EXPECT_EQ(r.findings[0].line, 26u);  // d_ past the next-line scope
-}
-
-// --- --only: the report narrows, the index does not -------------------------
-
-TEST(SpiderLint, ReportOnlyFiltersReportNotIndex) {
-  LintOptions opts;
-  opts.forced_class = kSrc;
-  opts.report_only = {"sim/cycle_a.hpp"};  // suffix match at a '/' boundary
-  std::vector<std::string> errors;
-  const LintReport r = lint_paths({fixture("l5_layering")}, opts, errors);
-  EXPECT_TRUE(errors.empty());
-  // The cycle is reported on cycle_a.hpp but closes through cycle_b.hpp.
-  // Seeing it here proves the filtered run still indexed the unreported
-  // file; the upward include in block/dev.hpp is filtered out.
-  ASSERT_EQ(r.findings.size(), 1u) << render_text(r, /*fix_hints=*/false);
-  EXPECT_NE(r.findings[0].message.find(
-                "sim/cycle_a.hpp -> sim/cycle_b.hpp -> sim/cycle_a.hpp"),
-            std::string::npos);
-
-  LintOptions other = opts;
-  other.report_only = {"src/sim/cycle_b.hpp"};
-  std::vector<std::string> other_errors;
-  const LintReport empty =
-      lint_paths({fixture("l5_layering")}, other, other_errors);
-  EXPECT_TRUE(empty.findings.empty())
-      << render_text(empty, /*fix_hints=*/false);
 }
 
 // ---------------------------------------------------------------------------

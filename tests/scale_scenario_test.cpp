@@ -40,13 +40,13 @@ struct RunResult {
 };
 
 RunResult run_scale(const ScaleParams& params, const ShardMap& map,
-                    std::size_t engine_shards, std::size_t workers,
+                    std::size_t shards, std::size_t workers,
                     sim::SimTime horizon = 50 * sim::kMillisecond) {
   const net::IbFabric fabric{net::FabricParams{}};
   ShardedConfig cfg;
   cfg.lookahead = ScaleScenario::required_lookahead(fabric, params);
   cfg.workers = workers;
-  ShardedSimulator engine(engine_shards, cfg);
+  ShardedSimulator engine(shards, cfg);
   ShardedReplay replay(engine);
   ScaleScenario scenario(params, fabric, engine, map);
   scenario.start();

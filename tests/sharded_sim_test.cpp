@@ -81,12 +81,12 @@ struct MiniZones {
 
 /// Run MiniZones on a fresh engine and return the canonical merged hash.
 std::uint64_t run_mini(std::size_t zones, const ShardMap& map,
-                       std::size_t engine_shards, std::size_t workers,
+                       std::size_t shards, std::size_t workers,
                        std::uint64_t* total_ticks = nullptr) {
   ShardedConfig cfg;
   cfg.lookahead = kLookahead;
   cfg.workers = workers;
-  ShardedSimulator engine(engine_shards, cfg);
+  ShardedSimulator engine(shards, cfg);
   ShardedReplay replay(engine);
   MiniZones zones_state(engine, map);
   EXPECT_EQ(zones_state.ticks.size(), zones);

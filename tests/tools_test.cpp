@@ -186,7 +186,7 @@ TEST_F(DuFixture, BackgroundLoadStretchesClientDu) {
 
 TEST_F(DuFixture, LustreDuAnswersFromSnapshotAtZeroMdsCost) {
   LustreDu tool;
-  tool.daily_scan(*ns, sim::kDay);
+  tool.daily_scan(*ns);
   const double mds_before = ns->mds().accounted_load();
   const auto cost = tool.usage(0);
   EXPECT_DOUBLE_EQ(ns->mds().accounted_load(), mds_before);  // no MDS traffic
@@ -199,7 +199,7 @@ TEST_F(DuFixture, LustreDuAnswersFromSnapshotAtZeroMdsCost) {
 
 TEST_F(DuFixture, UnknownProjectReportsZero) {
   LustreDu tool;
-  tool.daily_scan(*ns, 0);
+  tool.daily_scan(*ns);
   const auto cost = tool.usage(999);
   EXPECT_EQ(cost.bytes_reported, 0u);
   EXPECT_FALSE(cost.stale);  // a real answer: the project is empty
@@ -214,7 +214,7 @@ TEST_F(DuFixture, ColdQueryIsStaleNotZero) {
   EXPECT_EQ(cold.bytes_reported, 0u);
   EXPECT_FALSE(tool.has_snapshot());
 
-  tool.daily_scan(*ns, sim::kDay);
+  tool.daily_scan(*ns);
   EXPECT_TRUE(tool.has_snapshot());
   const auto warm = tool.usage(0);
   EXPECT_FALSE(warm.stale);
