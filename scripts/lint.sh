@@ -2,7 +2,7 @@
 # Static-analysis driver: spiderlint (always) + clang-tidy (when installed).
 #
 # spiderlint is the in-tree determinism, unit-safety, architecture, and
-# shard-concurrency pass (rules L1-L12, see docs/static-analysis.md);
+# pool-concurrency pass (rules L1-L8 and L12, see docs/static-analysis.md);
 # clang-tidy adds the generic bugprone / concurrency / performance checks
 # configured in .clang-tidy.
 #

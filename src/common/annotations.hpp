@@ -6,7 +6,10 @@
 // reads the spelling lexically: a member marked SPIDER_GUARDED_BY(m) may
 // only be touched inside functions that visibly lock `m` (lock_guard/
 // unique_lock/scoped_lock/m.lock()) or are annotated SPIDER_REQUIRES(m).
-// The TSan ctest preset (SPIDER_SANITIZE=thread) provides the dynamic
+// L12 (pool-capture-discipline) lets pool closures capture a guarded member
+// by reference. These two macros are the whole vocabulary; shard ownership
+// has no marker, because the sharded engine checks its contracts at run
+// time. The TSan ctest preset (SPIDER_SANITIZE=thread) provides the dynamic
 // backstop for anything the lexical pass cannot see.
 //
 //   class Counter {
@@ -29,20 +32,3 @@
 /// Function that must be called with the listed mutexes already held.
 #define SPIDER_REQUIRES(...) \
   SPIDER_THREAD_ANNOTATION(exclusive_locks_required(__VA_ARGS__))
-
-/// Function that must NOT be called with the listed mutexes held
-/// (it acquires them itself).
-#define SPIDER_EXCLUDES(...) \
-  SPIDER_THREAD_ANNOTATION(locks_excluded(__VA_ARGS__))
-
-/// Member data owned by one simulation shard (sim/sharded_sim.hpp): it may
-/// only be touched by the owning shard's own events or by the single-
-/// threaded barrier code between epochs. `owner` is a human-readable owner
-/// expression ("shard", "shard(from)", "barrier") — documentation, not code.
-///
-/// No compiler lowering exists for shard ownership, so the macro expands to
-/// nothing everywhere; it is a lexical marker for spiderlint rules L9
-/// (shard-escape) and L12 (pool-capture-discipline), which forbid closures
-/// scheduled onto a shard — or handed to the thread pool — from capturing
-/// annotated members by reference.
-#define SPIDER_SHARD_OWNED(owner)  // lexical marker (spiderlint L9/L12)

@@ -4,12 +4,12 @@
 
 namespace spider::core {
 
-ScenarioRunner::ScenarioRunner(CenterModel& center, sim::Simulator& sim,
-                               bool include_torus_links)
+ScenarioRunner::ScenarioRunner(CenterModel& center, sim::Simulator& sim)
     : center_(center),
       sim_(sim),
       net_(sim),
-      map_(center.register_into(net_, include_torus_links)) {}
+      // No per-torus-link resources: see the fidelity note in scenario.hpp.
+      map_(center.register_into(net_)) {}
 
 void ScenarioRunner::submit_burst(const workload::IoBurst& burst,
                                   OstChooser ost_of,

@@ -6,10 +6,11 @@
 // (Lessons 1-2), what server-side throughput logs look like (IOSI input),
 // and how libPIO placement changes a job's delivered bandwidth.
 //
-// Fidelity note: scenario networks exclude per-torus-link resources by
-// default (router/OSS/controller/OST contention dominates the questions
-// asked here); client-side placement quality still applies through the
-// per-flow rate cap. Bursts group several clients into one flow
+// Fidelity note: scenario networks exclude per-torus-link resources
+// (router/OSS/controller/OST contention dominates the questions asked
+// here); client-side placement quality still applies through the per-flow
+// rate cap. A study that needs torus links registers them itself through
+// CenterModel::register_into. Bursts group several clients into one flow
 // (client_grouping) to keep event counts proportional to bursts, not
 // clients — documented scale handling per DESIGN.md.
 #pragma once
@@ -35,8 +36,7 @@ struct BurstOutcome {
 
 class ScenarioRunner {
  public:
-  ScenarioRunner(CenterModel& center, sim::Simulator& sim,
-                 bool include_torus_links = false);
+  ScenarioRunner(CenterModel& center, sim::Simulator& sim);
 
   sim::Simulator& simulator() { return sim_; }
   sim::FlowNetwork& network() { return net_; }

@@ -1,15 +1,11 @@
 #include "tools/lint/rules.hpp"
 
 #include <algorithm>
+#include <cctype>
 #include <cstdlib>
-#include <map>
 #include <set>
 #include <utility>
 
-#include <cctype>
-#include <optional>
-
-#include "tools/lint/callgraph.hpp"
 #include "tools/lint/include_graph.hpp"
 #include "tools/lint/symbols.hpp"
 #include "tools/lint/token.hpp"
@@ -78,37 +74,10 @@ const std::vector<RuleInfo> kRules = {
      "hoist the literal into a named constant in the subsystem's config "
      "header (or use the units.hpp constants/literals) so the calibration "
      "source is documented once"},
-    {"L9", "shard-escape", Severity::kError,
-     "closure handed to a schedule call captures (or reaches through "
-     "this/helper calls) a SPIDER_SHARD_OWNED member by reference: the "
-     "event runs on a shard lane and only the owning shard's events may "
-     "touch the state",
-     "shard-ok",
-     "capture a copy of the value (init-capture), or deliver the update "
-     "through ShardedSimulator::schedule_cross so the owning shard's own "
-     "event applies it"},
-    {"L10", "cross-shard-schedule", Severity::kError,
-     "event running on one shard calls schedule_at/schedule_in on a "
-     "Simulator& obtained for a different shard index: that races the "
-     "other shard's queue and breaks the epoch contract",
-     "cross-ok",
-     "route the event through ShardedSimulator::schedule_cross(from, to, "
-     "when, fn) — the mailbox drains at the barrier in canonical order, "
-     "direct scheduling across shards does not"},
-    {"L11", "lookahead-provenance", Severity::kError,
-     "`when` argument of schedule_cross built from bare numeric constants: "
-     "cross-shard delays must come from net/lookahead.hpp symbols (or "
-     "epoch_end/lookahead expressions) so the conservative contract stays "
-     "provable",
-     "lookahead-ok",
-     "derive the delay from net/lookahead.hpp (kTorusHopLatency, "
-     "kIbSwitchHopLatency, kLnetRouterTransit, cross_zone_lookahead, "
-     "min_lookahead) or the engine's lookahead()/epoch_end() instead of a "
-     "literal"},
     {"L12", "pool-capture-discipline", Severity::kError,
      "closure handed to parallel_for/submit captures by reference state "
-     "that is neither SPIDER_GUARDED_BY a mutex, std::atomic, "
-     "SPIDER_SHARD_OWNED, nor a join-protected local",
+     "that is neither SPIDER_GUARDED_BY a mutex, std::atomic, nor a "
+     "join-protected local",
      "pool-ok",
      "capture by value, guard the member (SPIDER_GUARDED_BY + lock, or "
      "std::atomic), or join the submitted work (a latch or "
@@ -536,27 +505,22 @@ void run_l8(const SourceFile& file, const TokenStream& stream,
   }
 }
 
-// --- L9-L12 shared concurrency analysis -------------------------------------
+// --- L12: pool-capture-discipline -------------------------------------------
 //
-// All four shard/pool rules act only on precise, identifier-level evidence
-// (the engine's design rule: a misparse degrades to a missed finding, never
-// a spurious one). The shared inputs: the file's lambdas with parsed
-// capture lists, the per-TU call graph, and the annotation vocabulary
-// merged from the file and its paired header.
+// L12 acts only on precise, identifier-level evidence (the engine's design
+// rule: a misparse degrades to a missed finding, never a spurious one). Its
+// inputs: the file's lambdas with parsed capture lists, and the
+// synchronization vocabulary merged from the file and its paired header.
 
 struct ConcurrencyInfo {
   std::vector<LambdaSym> lambdas;
-  CallGraph graph;
-  std::set<std::string> shard_owned;  ///< SPIDER_SHARD_OWNED member names
-  std::set<std::string> guarded;      ///< SPIDER_GUARDED_BY member names
-  std::set<std::string> atomics;      ///< members declared std::atomic<...>
+  std::set<std::string> guarded;  ///< SPIDER_GUARDED_BY member names
+  std::set<std::string> atomics;  ///< members declared std::atomic<...>
 
   ConcurrencyInfo(const TokenStream& stream, const FileSymbols& syms,
                   const TokenStream* header_stream,
-                  const FileSymbols* header_syms,
-                  std::vector<ShardOwnedMember> merged_owned)
-      : lambdas(find_lambdas(stream)), graph(stream, syms, merged_owned) {
-    for (const ShardOwnedMember& m : merged_owned) shard_owned.insert(m.name);
+                  const FileSymbols* header_syms)
+      : lambdas(find_lambdas(stream)) {
     for (const GuardedMember& g : syms.guarded) guarded.insert(g.name);
     if (header_syms != nullptr) {
       for (const GuardedMember& g : header_syms->guarded) guarded.insert(g.name);
@@ -590,17 +554,6 @@ struct ConcurrencyInfo {
     }
   }
 };
-
-/// Merged SPIDER_SHARD_OWNED members from a file and its paired header.
-std::vector<ShardOwnedMember> merged_shard_owned(
-    const FileSymbols& syms, const FileSymbols* header_syms) {
-  std::vector<ShardOwnedMember> merged = syms.shard_owned;
-  if (header_syms != nullptr) {
-    merged.insert(merged.end(), header_syms->shard_owned.begin(),
-                  header_syms->shard_owned.end());
-  }
-  return merged;
-}
 
 /// Lambdas whose introducer lies strictly inside (open, close) — i.e. the
 /// argument range of a call. Nested lambdas are included: they execute as
@@ -668,442 +621,6 @@ std::vector<std::string> member_words(std::string_view flat) {
   return words;
 }
 
-// --- L9: shard-escape --------------------------------------------------------
-
-void run_l9(const SourceFile& file, const TokenStream& stream,
-            const ConcurrencyInfo& info, std::vector<Finding>& out) {
-  const RuleInfo& inf = *rule("L9");
-  if (info.shard_owned.empty()) return;
-  const std::vector<Tok>& t = stream.tokens;
-  std::set<std::pair<std::size_t, std::string>> flagged;
-  auto flag = [&](std::size_t line, std::size_t col, const std::string& key,
-                  std::string msg) {
-    if (!flagged.emplace(line, key).second) return;
-    if (has_suppression(file, line, inf.suppression)) return;
-    add_finding(out, inf, file.path, line, col, std::move(msg));
-  };
-
-  for (std::size_t i = 0; i + 1 < t.size(); ++i) {
-    if (t[i].kind != TokKind::kIdent || !is_punct(t[i + 1], "(")) continue;
-    const std::string& name = t[i].text;
-    if (name != "schedule_at" && name != "schedule_in" &&
-        name != "schedule_cross" && name != "Task") {
-      continue;
-    }
-    const std::size_t close = matching_close(t, i + 1);
-    if (close >= t.size()) continue;
-
-    for (const LambdaSym* lam : lambdas_in(info.lambdas, i + 1, close)) {
-      if (!lam->parsed) continue;
-      for (const LambdaCapture& cap : lam->captures) {
-        if (cap.kind != CaptureKind::kByRef) continue;
-        if (info.shard_owned.count(cap.name) != 0) {
-          flag(cap.line, t[lam->intro].col, cap.name,
-               "scheduled closure captures shard-owned member '" + cap.name +
-                   "' by reference");
-        } else if (cap.init) {
-          for (const std::string& word : member_words(cap.init_expr)) {
-            if (info.shard_owned.count(word) != 0) {
-              flag(cap.line, t[lam->intro].col, word,
-                   "scheduled closure init-capture '&" + cap.name +
-                       "' aliases shard-owned member '" + word + "'");
-            }
-          }
-        }
-      }
-      if (!lam->captures_this()) continue;
-      for (std::size_t b = lam->body_begin; b < lam->body_end && b < t.size();
-           ++b) {
-        if (t[b].kind != TokKind::kIdent) continue;
-        if (info.shard_owned.count(t[b].text) != 0 &&
-            this_member_use(t, b)) {
-          flag(t[b].line, t[b].col, t[b].text,
-               "scheduled closure touches shard-owned member '" + t[b].text +
-                   "' through its captured this");
-          continue;
-        }
-        if (b + 1 < lam->body_end && is_punct(t[b + 1], "(")) {
-          const std::set<std::string>& touched =
-              info.graph.touched_shard_owned(t[b].text);
-          if (!touched.empty()) {
-            flag(t[b].line, t[b].col, "call:" + t[b].text,
-                 "scheduled closure reaches shard-owned member '" +
-                     *touched.begin() + "' via call to '" + t[b].text + "'");
-          }
-        }
-      }
-    }
-  }
-}
-
-// --- L10: cross-shard-schedule ----------------------------------------------
-
-/// Worklist scanner over "shard context regions": token ranges known to
-/// execute as events of one shard (scheduled-lambda bodies, and helper
-/// bodies entered with the context index threaded through a parameter).
-struct L10Scanner {
-  const SourceFile& file;
-  const std::vector<Tok>& t;
-  const FileSymbols& syms;
-  const ConcurrencyInfo& info;
-  std::vector<Finding>& out;
-  const RuleInfo& inf = *rule("L10");
-
-  struct Region {
-    std::size_t begin = 0;
-    std::size_t end = 0;
-    std::string context;
-  };
-  std::vector<Region> work{};
-  std::set<std::pair<std::size_t, std::string>> visited{};
-  std::set<std::pair<std::size_t, std::string>> flagged{};
-  /// Local `Simulator& s = handle(IDX)...` bindings: name -> reduced index
-  /// (cleared on conflicting rebinds).
-  std::map<std::string, std::string> bindings{};
-
-  void run() {
-    collect_bindings();
-    // Discovery pass: every scheduled lambda in the file gets a region with
-    // its target-shard spelling. No checks fire without a context.
-    scan(0, t.size(), "");
-    while (!work.empty()) {
-      const Region r = work.back();
-      work.pop_back();
-      scan(r.begin, r.end, r.context);
-    }
-  }
-
-  void collect_bindings() {
-    for (std::size_t i = 0; i + 3 < t.size(); ++i) {
-      if (!is_ident(t[i], "Simulator") && !is_ident(t[i], "auto")) continue;
-      if (!is_punct(t[i + 1], "&")) continue;
-      if (t[i + 2].kind != TokKind::kIdent || !is_punct(t[i + 3], "=")) {
-        continue;
-      }
-      const std::string& name = t[i + 2].text;
-      std::string idx;
-      for (std::size_t k = i + 4; k < t.size() && !is_punct(t[k], ";"); ++k) {
-        if (t[k].kind == TokKind::kIdent &&
-            info.graph.is_handle_fn(t[k].text) && k + 1 < t.size() &&
-            is_punct(t[k + 1], "(")) {
-          const std::size_t c = matching_close(t, k + 1);
-          if (c < t.size()) idx = reduce_index(t, k + 2, c);
-        }
-      }
-      if (idx.empty()) continue;
-      const auto [it, inserted] = bindings.emplace(name, idx);
-      if (!inserted && it->second != idx) it->second.clear();
-    }
-  }
-
-  void flag(std::size_t tok, const std::string& key, std::string msg) {
-    if (!flagged.emplace(t[tok].line, key).second) return;
-    if (has_suppression(file, t[tok].line, inf.suppression)) return;
-    add_finding(out, inf, file.path, t[tok].line, t[tok].col, std::move(msg));
-  }
-
-  /// Enqueue the scheduled lambdas of a call range as regions running on
-  /// shard `ctx`, and mark their bodies skipped for the current scan.
-  void enqueue_lambdas(std::size_t open, std::size_t close,
-                       const std::string& ctx,
-                       std::vector<std::pair<std::size_t, std::size_t>>& skips) {
-    for (const LambdaSym* lam : lambdas_in(info.lambdas, open, close)) {
-      skips.emplace_back(lam->body_begin, lam->body_end);
-      if (ctx.empty() || !lam->parsed) continue;
-      if (visited.emplace(lam->body_begin, ctx).second) {
-        work.push_back(Region{lam->body_begin, lam->body_end, ctx});
-      }
-    }
-  }
-
-  void scan(std::size_t begin, std::size_t end, const std::string& ctx) {
-    std::vector<std::pair<std::size_t, std::size_t>> skips;
-    for (std::size_t i = begin; i + 1 < end && i + 1 < t.size(); ++i) {
-      bool skipped = true;
-      while (skipped) {
-        skipped = false;
-        for (const auto& [sb, se] : skips) {
-          if (i >= sb && i < se) {
-            i = se;
-            skipped = true;
-          }
-        }
-      }
-      if (i + 1 >= end || i + 1 >= t.size()) break;
-      if (t[i].kind != TokKind::kIdent || !is_punct(t[i + 1], "(")) continue;
-      const std::size_t close = matching_close(t, i + 1);
-      if (close >= t.size()) continue;
-      const std::string& name = t[i].text;
-
-      // handle(IDX).schedule_at/..._in(...): the scheduled lambda runs on
-      // IDX; from context `ctx`, a differing spelling is a cross-shard raw
-      // schedule.
-      if (info.graph.is_handle_fn(name) && close + 3 < t.size() &&
-          is_punct(t[close + 1], ".") &&
-          (is_ident(t[close + 2], "schedule_at") ||
-           is_ident(t[close + 2], "schedule_in")) &&
-          is_punct(t[close + 3], "(")) {
-        const std::string idx = reduce_index(t, i + 2, close);
-        const std::size_t sched_close = matching_close(t, close + 3);
-        if (sched_close >= t.size()) continue;
-        if (!ctx.empty() && !idx.empty() && idx != ctx) {
-          flag(close + 2, "handle:" + idx,
-               "event running on shard '" + ctx + "' calls " +
-                   t[close + 2].text + "() directly on shard '" + idx +
-                   "' — use schedule_cross");
-        }
-        enqueue_lambdas(close + 3, sched_close, idx, skips);
-        continue;
-      }
-
-      // bound.schedule_at(...) through a local `Simulator& bound = ...`.
-      if ((name == "schedule_at" || name == "schedule_in") && i >= 2 &&
-          (is_punct(t[i - 1], ".") || is_punct(t[i - 1], "->")) &&
-          t[i - 2].kind == TokKind::kIdent) {
-        const auto bound = bindings.find(t[i - 2].text);
-        if (bound != bindings.end() && !bound->second.empty()) {
-          if (!ctx.empty() && bound->second != ctx) {
-            flag(i, "bound:" + bound->second,
-                 "event running on shard '" + ctx + "' calls " + name +
-                     "() on '" + t[i - 2].text + "' (shard '" +
-                     bound->second + "') — use schedule_cross");
-          }
-          enqueue_lambdas(i + 1, close, bound->second, skips);
-          continue;
-        }
-      }
-
-      // schedule_cross(FROM, TO, ...): lambdas run on TO; FROM must match
-      // the sending context (the mailbox is keyed by true sender).
-      if (name == "schedule_cross") {
-        const std::vector<ArgRange> args = split_args(t, i + 1, close);
-        if (args.size() < 4) continue;
-        const std::string from = reduce_index(t, args[0].begin, args[0].end);
-        const std::string to = reduce_index(t, args[1].begin, args[1].end);
-        if (!ctx.empty() && !from.empty() && from != ctx) {
-          flag(i, "from:" + from,
-               "schedule_cross claims source shard '" + from +
-                   "' but the sending event runs on shard '" + ctx + "'");
-        }
-        enqueue_lambdas(i + 1, close, to, skips);
-        continue;
-      }
-
-      // Helper call: check arguments against the callee's sched-params, and
-      // thread the context into its body when passed along unchanged.
-      if (ctx.empty()) continue;
-      const std::vector<std::size_t>& sp = info.graph.sched_params(name);
-      const std::vector<ArgRange> args = split_args(t, i + 1, close);
-      for (const std::size_t j : sp) {
-        if (j >= args.size()) continue;
-        const std::string r = reduce_index(t, args[j].begin, args[j].end);
-        if (!r.empty() && r != ctx) {
-          flag(i, "arg:" + name + ":" + r,
-               "event running on shard '" + ctx + "' passes shard index '" +
-                   r + "' into '" + name +
-                   "', which schedules directly on that shard — use "
-                   "schedule_cross");
-        }
-      }
-      for (const FunctionSym* def : info.graph.definitions(name)) {
-        const std::vector<std::string>& pnames = info.graph.params_of(*def);
-        for (std::size_t p = 0; p < pnames.size() && p < args.size(); ++p) {
-          if (pnames[p].empty()) continue;
-          const std::string r = reduce_index(t, args[p].begin, args[p].end);
-          if (r != ctx) continue;
-          if (visited.emplace(def->body_begin, pnames[p]).second) {
-            work.push_back(
-                Region{def->body_begin, def->body_end, pnames[p]});
-          }
-        }
-      }
-    }
-  }
-};
-
-void run_l10(const SourceFile& file, const TokenStream& stream,
-             const FileSymbols& syms, const ConcurrencyInfo& info,
-             std::vector<Finding>& out) {
-  L10Scanner scanner{file, stream.tokens, syms, info, out};
-  scanner.run();
-}
-
-// --- L11: lookahead-provenance ----------------------------------------------
-
-/// Value of the sim/time.hpp unit constants, for the tiny delay evaluator.
-std::optional<double> unit_value(std::string_view ident) {
-  if (ident == "kNanosecond") return 1.0;
-  if (ident == "kMicrosecond") return 1e3;
-  if (ident == "kMillisecond") return 1e6;
-  if (ident == "kSecond") return 1e9;
-  if (ident == "kMinute") return 60e9;
-  if (ident == "kHour") return 3600e9;
-  if (ident == "kDay") return 86400e9;
-  return std::nullopt;
-}
-
-/// Recursive-descent evaluator over numbers, unit constants, + - * / and
-/// parens. nullopt for anything else.
-struct DelayEval {
-  const std::vector<Tok>& t;
-  std::size_t pos;
-  std::size_t end;
-
-  std::optional<double> expr() {
-    std::optional<double> v = term();
-    while (v.has_value() && pos < end &&
-           (is_punct(t[pos], "+") || is_punct(t[pos], "-"))) {
-      const bool add = t[pos].text == "+";
-      ++pos;
-      const std::optional<double> rhs = term();
-      if (!rhs.has_value()) return std::nullopt;
-      v = add ? *v + *rhs : *v - *rhs;
-    }
-    return v;
-  }
-  std::optional<double> term() {
-    std::optional<double> v = factor();
-    while (v.has_value() && pos < end &&
-           (is_punct(t[pos], "*") || is_punct(t[pos], "/"))) {
-      const bool mul = t[pos].text == "*";
-      ++pos;
-      const std::optional<double> rhs = factor();
-      if (!rhs.has_value() || (!mul && *rhs == 0.0)) return std::nullopt;
-      v = mul ? *v * *rhs : *v / *rhs;
-    }
-    return v;
-  }
-  std::optional<double> factor() {
-    if (pos >= end) return std::nullopt;
-    if (is_punct(t[pos], "(")) {
-      const std::size_t close = matching_close(t, pos);
-      if (close >= end) return std::nullopt;
-      DelayEval inner{t, pos + 1, close};
-      const std::optional<double> v = inner.expr();
-      if (!v.has_value() || inner.pos != close) return std::nullopt;
-      pos = close + 1;
-      return v;
-    }
-    if (t[pos].kind == TokKind::kNumber) {
-      const double v = literal_magnitude(t[pos].text);
-      if (v < 0.0) return std::nullopt;
-      ++pos;
-      return v;
-    }
-    if (t[pos].kind == TokKind::kIdent) {
-      const std::optional<double> v = unit_value(t[pos].text);
-      if (v.has_value()) ++pos;
-      return v;
-    }
-    return std::nullopt;
-  }
-};
-
-std::optional<double> eval_delay(const std::vector<Tok>& t, std::size_t begin,
-                                 std::size_t end) {
-  DelayEval e{t, begin, end};
-  const std::optional<double> v = e.expr();
-  return e.pos == end ? v : std::nullopt;
-}
-
-/// True when the token range mentions a lookahead/latency provenance
-/// symbol: a net/lookahead.hpp name, anything spelled *lookahead*/*latency*,
-/// or the engine's epoch_end.
-bool mentions_provenance(const std::vector<Tok>& t, std::size_t begin,
-                         std::size_t end) {
-  for (std::size_t i = begin; i < end && i < t.size(); ++i) {
-    if (t[i].kind != TokKind::kIdent) continue;
-    std::string lower;
-    for (const char c : t[i].text) {
-      lower.push_back(
-          static_cast<char>(std::tolower(static_cast<unsigned char>(c))));
-    }
-    if (lower.find("lookahead") != std::string::npos ||
-        lower.find("latency") != std::string::npos ||
-        lower.find("epoch_end") != std::string::npos ||
-        lower.find("transit") != std::string::npos) {
-      return true;
-    }
-  }
-  return false;
-}
-
-void run_l11(const SourceFile& file, const TokenStream& stream,
-             std::vector<Finding>& out) {
-  const RuleInfo& inf = *rule("L11");
-  // Mirror of net::kTorusHopLatency, the smallest latency floor any
-  // cross-domain channel has (keep in sync with net/lookahead.hpp).
-  constexpr double kFloorNs = 105.0;
-  const std::vector<Tok>& t = stream.tokens;
-  for (std::size_t i = 0; i + 1 < t.size(); ++i) {
-    if (!is_ident(t[i], "schedule_cross") || !is_punct(t[i + 1], "(")) {
-      continue;
-    }
-    const std::size_t close = matching_close(t, i + 1);
-    if (close >= t.size()) continue;
-    const std::vector<ArgRange> args = split_args(t, i + 1, close);
-    if (args.size() < 4) continue;
-    const ArgRange when = args[2];
-
-    bool has_number = false;
-    for (std::size_t k = when.begin; k < when.end; ++k) {
-      if (t[k].kind == TokKind::kNumber) has_number = true;
-    }
-    if (!has_number) continue;  // symbolic time: provenance is upstream
-    if (mentions_provenance(t, when.begin, when.end)) continue;
-    if (has_suppression(file, t[i].line, inf.suppression)) continue;
-
-    // Evaluate the constant part: the sum of the top-level addends that are
-    // pure number/unit arithmetic (the rest, e.g. `sim.now()`, is the
-    // symbolic base the delay is added to).
-    double const_part = 0.0;
-    bool evaluable = false;
-    {
-      std::size_t seg = when.begin;
-      int depth = 0;
-      double sign = 1.0;
-      auto close_segment = [&](std::size_t seg_end, double s) {
-        const std::optional<double> v = eval_delay(t, seg, seg_end);
-        if (v.has_value()) {
-          const_part += s * *v;
-          evaluable = true;
-        }
-      };
-      double cur_sign = 1.0;
-      for (std::size_t k = when.begin; k < when.end; ++k) {
-        if (t[k].kind == TokKind::kPunct && t[k].text.size() == 1) {
-          const char c = t[k].text[0];
-          if (c == '(' || c == '<' || c == '[' || c == '{') ++depth;
-          if (c == ')' || c == '>' || c == ']' || c == '}') --depth;
-          if (depth == 0 && (c == '+' || c == '-') && k > seg) {
-            close_segment(k, cur_sign);
-            cur_sign = c == '-' ? -1.0 : 1.0;
-            seg = k + 1;
-          }
-        }
-      }
-      close_segment(when.end, cur_sign);
-      (void)sign;
-    }
-
-    std::string msg;
-    if (evaluable && const_part < kFloorNs) {
-      msg = "schedule_cross delay has a bare constant component of " +
-            std::to_string(static_cast<long long>(const_part)) +
-            " ns — below the torus hop floor (kTorusHopLatency = 105 ns), a "
-            "certain lookahead breach";
-    } else {
-      msg =
-          "schedule_cross delay built from bare numeric constants — derive "
-          "it from net/lookahead.hpp so the conservative contract stays "
-          "provable";
-    }
-    add_finding(out, inf, file.path, t[i].line, t[i].col, std::move(msg));
-  }
-}
-
-// --- L12: pool-capture-discipline -------------------------------------------
-
 void run_l12(const SourceFile& file, const TokenStream& stream,
              const FileSymbols& syms, const ConcurrencyInfo& info,
              std::vector<Finding>& out) {
@@ -1117,8 +634,7 @@ void run_l12(const SourceFile& file, const TokenStream& stream,
     add_finding(out, inf, file.path, line, col, std::move(msg));
   };
   auto exempt_member = [&](const std::string& name) {
-    return info.guarded.count(name) != 0 || info.atomics.count(name) != 0 ||
-           info.shard_owned.count(name) != 0;
+    return info.guarded.count(name) != 0 || info.atomics.count(name) != 0;
   };
 
   for (std::size_t i = 0; i + 1 < t.size(); ++i) {
@@ -1297,11 +813,7 @@ std::vector<Finding> lint_file(const SourceFile& file, const FileClass& cls,
     run_l6(file, stream, syms, hsyms, out);
     run_l7(file, stream, syms, hsyms, out);
     if (cls.calib_scope) run_l8(file, stream, syms, out);
-    const ConcurrencyInfo info(stream, syms, header, hsyms,
-                               merged_shard_owned(syms, hsyms));
-    run_l9(file, stream, info, out);
-    run_l10(file, stream, syms, info, out);
-    run_l11(file, stream, out);
+    const ConcurrencyInfo info(stream, syms, header, hsyms);
     run_l12(file, stream, syms, info, out);
   }
 

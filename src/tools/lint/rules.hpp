@@ -39,30 +39,16 @@
 //       calibration constant; hoist it into a named constant in a config
 //       header (or units.hpp) so provenance is greppable.
 //       Suppress: // spiderlint: calib-ok
-//   L9 shard-escape         (error)   a closure handed to a schedule call
-//       (schedule_at/schedule_in/schedule_cross/sim::Task)
-//       must not capture by reference — or reach through `this`/helper
-//       calls — a member annotated SPIDER_SHARD_OWNED: the event runs on a
-//       shard lane, and only the owning shard's events may touch the state.
-//       Suppress: // spiderlint: shard-ok
-//   L10 cross-shard-schedule (error)  inside an event running on shard X
-//       (a closure scheduled onto handle(X), traced through helpers via the
-//       call graph), a direct schedule_at/schedule_in on a Simulator&
-//       obtained for a different shard index races that shard's queue —
-//       cross-shard events must go through schedule_cross.
-//       Suppress: // spiderlint: cross-ok
-//   L11 lookahead-provenance (error)  the `when` argument of schedule_cross
-//       must mention a lookahead/latency symbol (net/lookahead.hpp,
-//       epoch_end, ...); bare numeric delays have no provable relation to
-//       the conservative lookahead contract, and constants below the torus
-//       hop floor (105 ns) are flagged as certain breaches.
-//       Suppress: // spiderlint: lookahead-ok
 //   L12 pool-capture-discipline (error) closures handed to parallel_for/
 //       ThreadPool::submit must not capture by reference members lacking
-//       SPIDER_GUARDED_BY/std::atomic/SPIDER_SHARD_OWNED; locals are exempt
-//       under a visible join (parallel_for always joins; submit needs a
-//       latch or condition-variable `.wait(` in the same function).
+//       SPIDER_GUARDED_BY/std::atomic; locals are exempt under a visible
+//       join (parallel_for always joins; submit needs a latch or
+//       condition-variable `.wait(` in the same function).
 //       Suppress: // spiderlint: pool-ok
+//
+// Retired ids are never reused: L9-L11 (the shard rules) and L13-L16 were
+// deleted because a run-time check owns each contract
+// (docs/static-analysis.md#rule-audit).
 //
 // A suppression is a trailing comment on the flagged line, a comment-only
 // line directly above, `// spiderlint-next-line: <token>` on the previous
@@ -86,7 +72,7 @@ std::string_view to_string(Severity s);
 
 /// One rule violation.
 struct Finding {
-  std::string rule;        ///< "L1".."L12"
+  std::string rule;        ///< "L1".."L8" or "L12"
   Severity severity = Severity::kError;
   std::string file;
   std::size_t line = 0;    ///< 1-based
@@ -112,7 +98,7 @@ const RuleInfo* rule(std::string_view id);
 
 /// How a file is scoped for rule applicability.
 struct FileClass {
-  bool in_src = false;  ///< under src/: L2, L4, L6, L7, L9-L12 apply
+  bool in_src = false;  ///< under src/: L2, L4, L6, L7, L12 apply
   bool sim_critical = false;  ///< under src/{sim,block,fs,net}: L1 applies
   bool is_header = false;     ///< *.hpp/*.h: L3 applies
   bool rng_home = false;      ///< src/common/rng.*: mt19937 exempt from L2

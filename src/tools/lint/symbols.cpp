@@ -190,19 +190,6 @@ FileSymbols index_symbols(const TokenStream& stream) {
       continue;
     }
 
-    // --- SPIDER_SHARD_OWNED on a member declaration -------------------------
-    if (tok.text == "SPIDER_SHARD_OWNED" && i + 1 < t.size() &&
-        is_punct(t[i + 1], "(")) {
-      const std::size_t close = matching_close(t, i + 1);
-      Scope* cls = current_class();
-      if (cls != nullptr && i >= 1 && t[i - 1].kind == TokKind::kIdent) {
-        out.shard_owned.push_back(ShardOwnedMember{
-            cls->name, t[i - 1].text, flatten(t, i + 2, close), tok.line});
-      }
-      i = close + 1;
-      continue;
-    }
-
     // --- function declarator ------------------------------------------------
     const bool operator_name = tok.text == "operator";
     bool is_fn_candidate = false;
@@ -264,8 +251,6 @@ FileSymbols index_symbols(const TokenStream& stream) {
       fn.in_anon_namespace = in_anon_namespace();
       fn.ctor_or_dtor = dtor;
       fn.params = flatten(t, params_open + 1, params_close);
-      fn.params_begin = params_open + 1;
-      fn.params_end = params_close;
       Scope* cls = current_class();
       if (!fn_cls.empty()) {
         fn.cls = fn_cls;
@@ -292,13 +277,10 @@ FileSymbols index_symbols(const TokenStream& stream) {
           }
           continue;
         }
-        if (tr.kind == TokKind::kIdent &&
-            (tr.text == "SPIDER_REQUIRES" || tr.text == "SPIDER_EXCLUDES") &&
-            j + 1 < t.size() && is_punct(t[j + 1], "(")) {
+        if (is_ident(tr, "SPIDER_REQUIRES") && j + 1 < t.size() &&
+            is_punct(t[j + 1], "(")) {
           const std::size_t close = matching_close(t, j + 1);
-          if (tr.text == "SPIDER_REQUIRES") {
-            fn.requires_mutexes.push_back(flatten(t, j + 2, close));
-          }
+          fn.requires_mutexes.push_back(flatten(t, j + 2, close));
           j = close + 1;
           continue;
         }

@@ -29,15 +29,6 @@ struct GuardedMember {
   std::size_t line = 0;  ///< 0-based declaration line
 };
 
-/// A member declaration annotated SPIDER_SHARD_OWNED(owner): state that only
-/// the owning shard's events (or single-threaded barrier code) may touch.
-struct ShardOwnedMember {
-  std::string cls;    ///< enclosing class/struct name
-  std::string name;   ///< member identifier
-  std::string owner;  ///< flattened owner expression (documentation)
-  std::size_t line = 0;  ///< 0-based declaration line
-};
-
 enum class CaptureKind {
   kDefaultRef,    ///< `&`
   kDefaultValue,  ///< `=`
@@ -85,10 +76,6 @@ struct FunctionSym {
   bool is_definition = false;    ///< has a body in this file
   bool ctor_or_dtor = false;
   std::string params;            ///< flattened parameter-list text
-  /// Parameter-list token range (inside the parens) into the file's
-  /// TokenStream, for per-parameter analysis (callgraph.hpp).
-  std::size_t params_begin = 0;
-  std::size_t params_end = 0;
   std::vector<std::string> requires_mutexes;  ///< SPIDER_REQUIRES(args)
   /// Body token range [body_begin, body_end) into the file's TokenStream
   /// (both 0 when this is a declaration only).
@@ -100,7 +87,6 @@ struct FileSymbols {
   std::vector<ClassSym> classes;
   std::vector<FunctionSym> functions;
   std::vector<GuardedMember> guarded;
-  std::vector<ShardOwnedMember> shard_owned;
   std::vector<std::size_t> template_head_lines;  ///< 0-based
 };
 

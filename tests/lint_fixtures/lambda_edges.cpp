@@ -1,30 +1,26 @@
-// Capture-parser edge cases for spiderlint L9-L12.
+// Capture-parser edge cases for spiderlint L12.
 //
 // Every construct here is engineered to look like a hazardous capture to a
-// naive bracket-matcher: subscripts in schedule arguments, attributes,
+// naive bracket-matcher: subscripts in parallel_for arguments, attributes,
 // structured bindings, template lambdas, nested lambdas, moves out of
-// shard state, and a capture list the parser cannot understand. None may
+// member state, and a capture list the parser cannot understand. None may
 // fire — a misparse must degrade to a missed finding, never a false one.
 #include <utility>
 #include <vector>
-
-#include "common/annotations.hpp"
 
 #define CAPTURE_NOTHING()
 
 namespace fixture {
 
-struct Sim {
-  template <typename Fn>
-  void schedule_at(long when, Fn fn);
-};
+template <typename Fn>
+void parallel_for(long n, Fn fn);
 
 class Edges {
  public:
   void run() {
-    // A subscript on shard-owned state in an argument list is not a
-    // capture (and not a closure).
-    sim_.schedule_at(ticks_[0], CAPTURE_NOTHING());
+    // A subscript on member state in an argument list is not a capture
+    // (and not a closure).
+    parallel_for(ticks_[0], CAPTURE_NOTHING());
 
     // An attribute is not a lambda introducer.
     [[maybe_unused]] long first = ticks_[0];
@@ -32,16 +28,16 @@ class Edges {
     // A structured binding is not a capture list.
     auto& [lo, hi] = range_;
 
-    // Value init-capture moves the buffer out: the event owns it.
-    sim_.schedule_at(lo, [buf = std::move(spare_)] { (void)buf.size(); });
+    // Value init-capture moves the buffer out: the closure owns it.
+    parallel_for(lo, [buf = std::move(spare_)](long) { (void)buf.size(); });
 
     // Template lambda with specifiers: parses; the value default copies
-    // and its body touches nothing shard-owned.
-    sim_.schedule_at(hi, [=]<typename T>(T t) mutable noexcept { (void)t; });
+    // and its body touches no member.
+    parallel_for(hi, [=]<typename T>(T t) mutable noexcept { (void)t; });
 
     // Nested lambda: the inner default-ref captures only the outer
     // closure's locals.
-    sim_.schedule_at(first, [lo] {
+    parallel_for(first, [lo](long) {
       long acc = 0;
       auto inner = [&] { acc += lo; };
       inner();
@@ -49,12 +45,11 @@ class Edges {
 
     // A macro in the capture list defeats the parser: the lambda is marked
     // unparsed and skipped (missed finding, never a false one).
-    sim_.schedule_at(10, [CAPTURE_NOTHING()] { ticks_.clear(); });
+    parallel_for(10, [CAPTURE_NOTHING()](long) { ticks_.clear(); });
   }
 
  private:
-  Sim sim_;
-  std::vector<long> ticks_ SPIDER_SHARD_OWNED(shard);
+  std::vector<long> ticks_;
   std::vector<int> spare_;
   std::pair<long, long> range_;
 };

@@ -130,9 +130,8 @@ TEST(SpiderLint, JsonReportCarriesFindings) {
 }
 
 TEST(SpiderLint, RuleTableIsComplete) {
-  ASSERT_EQ(rules().size(), 12u);
-  const char* ids[] = {"L1", "L2", "L3", "L4",  "L5",  "L6",
-                       "L7", "L8", "L9", "L10", "L11", "L12"};
+  ASSERT_EQ(rules().size(), 9u);
+  const char* ids[] = {"L1", "L2", "L3", "L4", "L5", "L6", "L7", "L8", "L12"};
   for (const char* id : ids) {
     const RuleInfo* info = rule(id);
     ASSERT_NE(info, nullptr) << id;
@@ -140,7 +139,10 @@ TEST(SpiderLint, RuleTableIsComplete) {
     EXPECT_FALSE(info->suppression.empty());
     EXPECT_FALSE(info->hint.empty());
   }
-  EXPECT_EQ(rule("L13"), nullptr);
+  // Retired ids stay retired: they are never reused for a new rule.
+  for (const char* retired : {"L9", "L10", "L11", "L13"}) {
+    EXPECT_EQ(rule(retired), nullptr) << retired;
+  }
 }
 
 TEST(SpiderLint, CollectSourcesIsSortedAndDeduplicated) {
@@ -150,7 +152,7 @@ TEST(SpiderLint, CollectSourcesIsSortedAndDeduplicated) {
   const std::vector<std::string> twice = collect_sources(
       {SPIDER_LINT_FIXTURES_DIR, fixture("l2_nondet_source.cpp")}, errors);
   EXPECT_TRUE(errors.empty());
-  EXPECT_EQ(once.size(), 21u) << "fixture census drifted";
+  EXPECT_EQ(once.size(), 18u) << "fixture census drifted";
   EXPECT_EQ(once, twice);
   EXPECT_TRUE(std::is_sorted(once.begin(), once.end()));
 }
@@ -222,66 +224,8 @@ TEST(SpiderLint, L8FlagsBareCalibrationLiteralOnly) {
 }
 
 // ---------------------------------------------------------------------------
-// Concurrency rules (L9-L12): shard-escape, cross-shard scheduling,
-// lookahead provenance, and pool capture discipline. As above, every
-// fixture pins true positives at exact lines and the count assertion is
-// the false-positive check.
-
-TEST(SpiderLint, L9FlagsShardEscapesOnly) {
-  // The by-ref init-capture alias, the [&] this-touch, and the call-graph
-  // reach fire; the value copy, the plain member, and the barrier-code
-  // access are the engineered false positives.
-  const LintReport r = lint_fixture("l9_shard_escape.cpp", kSrc);
-  ASSERT_EQ(r.findings.size(), 3u) << render_text(r, /*fix_hints=*/false);
-  EXPECT_EQ(r.findings[0].rule, "L9");
-  EXPECT_EQ(r.findings[0].line, 19u);  // [&box = outbox_]
-  EXPECT_EQ(r.findings[0].severity, Severity::kError);
-  EXPECT_NE(r.findings[0].message.find("'&box'"), std::string::npos);
-  EXPECT_NE(r.findings[0].message.find("outbox_"), std::string::npos);
-  EXPECT_EQ(r.findings[1].line, 24u);  // [&] { outbox_.clear(); }
-  EXPECT_NE(r.findings[1].message.find("captured this"), std::string::npos);
-  EXPECT_EQ(r.findings[2].line, 30u);  // [this] { drain(); }
-  EXPECT_NE(r.findings[2].message.find("via call to 'drain'"),
-            std::string::npos);
-}
-
-TEST(SpiderLint, L10FlagsCrossShardRawSchedulesOnly) {
-  // The foreign-shard schedule_at, the lying schedule_cross source, the
-  // foreign index threaded into rearm(), and the foreign-bound Simulator&
-  // fire; the same-shard variants of all four are the engineered false
-  // positives.
-  const LintReport r = lint_fixture("l10_cross_schedule.cpp", kSrc);
-  ASSERT_EQ(r.findings.size(), 4u) << render_text(r, /*fix_hints=*/false);
-  EXPECT_EQ(r.findings[0].rule, "L10");
-  EXPECT_EQ(r.findings[0].line, 26u);  // shard(target).schedule_at
-  EXPECT_EQ(r.findings[0].severity, Severity::kError);
-  EXPECT_NE(r.findings[0].message.find("use schedule_cross"),
-            std::string::npos);
-  EXPECT_EQ(r.findings[1].line, 30u);  // schedule_cross(target, zone, ...)
-  EXPECT_NE(r.findings[1].message.find("claims source shard 'target'"),
-            std::string::npos);
-  EXPECT_EQ(r.findings[2].line, 32u);  // rearm(target)
-  EXPECT_NE(r.findings[2].message.find("'rearm'"), std::string::npos);
-  EXPECT_EQ(r.findings[3].line, 37u);  // far.schedule_at
-  EXPECT_NE(r.findings[3].message.find("'far'"), std::string::npos);
-}
-
-TEST(SpiderLint, L11FlagsBareDelaysAndGradesTheFloor) {
-  // The bare +500 and the below-floor +64 fire; the lookahead-derived and
-  // symbolic delays are the engineered false positives. The below-floor
-  // constant gets the sharper certain-breach message.
-  const LintReport r = lint_fixture("l11_lookahead.cpp", kSrc);
-  ASSERT_EQ(r.findings.size(), 2u) << render_text(r, /*fix_hints=*/false);
-  EXPECT_EQ(r.findings[0].rule, "L11");
-  EXPECT_EQ(r.findings[0].line, 26u);  // now + 500
-  EXPECT_EQ(r.findings[0].severity, Severity::kError);
-  EXPECT_NE(r.findings[0].message.find("bare numeric constants"),
-            std::string::npos);
-  EXPECT_EQ(r.findings[1].line, 28u);  // now + 64
-  EXPECT_NE(r.findings[1].message.find("64 ns"), std::string::npos);
-  EXPECT_NE(r.findings[1].message.find("below the torus hop floor"),
-            std::string::npos);
-}
+// Pool capture discipline (L12). As above, the fixture pins true positives
+// at exact lines and the count assertion is the false-positive check.
 
 TEST(SpiderLint, L12FlagsUnguardedPoolCapturesOnly) {
   // The this-touched plain member, the joinless by-ref local, the joinless
@@ -305,8 +249,9 @@ TEST(SpiderLint, L12FlagsUnguardedPoolCapturesOnly) {
 
 TEST(SpiderLint, LambdaEdgeCasesStayQuiet) {
   // Subscripts, attributes, structured bindings, moves, template lambdas,
-  // nested lambdas, and an unparseable capture list — all engineered to
-  // look like hazardous captures. None may fire.
+  // nested lambdas, and an unparseable capture list, all handed to
+  // parallel_for and engineered to look like hazardous captures. None may
+  // fire.
   const LintReport r = lint_fixture("lambda_edges.cpp", kSrc);
   EXPECT_TRUE(r.clean()) << render_text(r, /*fix_hints=*/false);
 }
@@ -437,7 +382,7 @@ TEST(SpiderLint, PruneBaselinePreservesEverythingButStaleEntries) {
 }
 
 // ---------------------------------------------------------------------------
-// Capture parser (find_lambdas): the foundation under L9/L12. Parsed
+// Capture parser (find_lambdas): the foundation under L12. Parsed
 // lambdas expose exact capture kinds; anything the parser cannot
 // understand is marked unparsed, never misread.
 
