@@ -5,10 +5,12 @@
 # Stage 0 runs the static-analysis pass (spiderlint, plus clang-tidy when
 # installed — see docs/static-analysis.md); it is the cheapest stage, so it
 # goes first. Then the address and undefined sanitizer presets build and run
-# the full test suite, and finally the deterministic-replay test runs twice
-# in fresh processes and the replay hashes are diffed — proving the
-# simulation core is reproducible across process boundaries, not just
-# within one. A fault-campaign smoke stage then replays the plans/ smoke
+# the full test suite, the thread preset runs the `threaded` tests (the
+# tests that run pool workers or sharded-engine lanes concurrently: the
+# project's one concurrency check), and finally the deterministic-replay
+# test runs twice in fresh processes and the replay hashes are diffed —
+# proving the simulation core is reproducible across process boundaries,
+# not just within one. A fault-campaign smoke stage then replays the plans/ smoke
 # scenarios under ASan and diffs the JSON verdicts the same way, a
 # parallel-campaign stage proves spiderfault --jobs=8 emits bytes identical
 # to the serial run, a fsck stage runs the corrupt -> detect -> repair ->
@@ -37,19 +39,23 @@ if [ ! -x "${BUILD_ROOT}/lint/tools/spiderlint" ]; then
   exit 2
 fi
 
+# run_preset <preset> <ctest label>: the same preset/label pairs as CI's
+# `sanitized` matrix.
 run_preset() {
   local preset="$1"
+  local label="$2"
   local dir="${BUILD_ROOT}/${preset}"
   echo "=== [${preset}] configure + build ==="
   cmake -B "${dir}" -S . -DSPIDER_SANITIZE="${preset}" \
         -DCMAKE_BUILD_TYPE=RelWithDebInfo
   cmake --build "${dir}" -j "${JOBS}"
-  echo "=== [${preset}] ctest (label: sanitized) ==="
-  ctest --test-dir "${dir}" -L sanitized --output-on-failure -j "${JOBS}"
+  echo "=== [${preset}] ctest (label: ${label}) ==="
+  ctest --test-dir "${dir}" -L "${label}" --output-on-failure -j "${JOBS}"
 }
 
-run_preset address
-run_preset undefined
+run_preset address sanitized
+run_preset undefined sanitized
+run_preset thread threaded
 
 # Cross-process replay determinism: the replay test prints a
 # "replay-hash: ..." line; two fresh processes must print the same value.
@@ -190,7 +196,7 @@ fi
 echo "=== bench smoke (five gated benches vs ci/ baselines) ==="
 scripts/bench.sh --smoke "${BUILD_ROOT}/bench"
 
-echo "OK: sanitized suites passed, replay hashes and fault verdicts stable," \
-     "parallel campaigns deterministic, fsck repairs converged," \
-     "changelog churn oracle-clean at 1e9 logical files," \
+echo "OK: sanitized and threaded suites passed, replay hashes and fault" \
+     "verdicts stable, parallel campaigns deterministic, fsck repairs" \
+     "converged, changelog churn oracle-clean at 1e9 logical files," \
      "bench smoke within baseline"

@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
 # Static-analysis driver: spiderlint (always) + clang-tidy (when installed).
 #
-# spiderlint is the in-tree determinism, unit-safety, architecture, and
-# pool-concurrency pass (rules L1-L8 and L12, see docs/static-analysis.md);
+# spiderlint is the in-tree determinism, unit-safety, and architecture pass
+# (rules L1-L5, L7 and L8, see docs/static-analysis.md);
 # clang-tidy adds the generic bugprone / concurrency / performance checks
 # configured in .clang-tidy.
 #

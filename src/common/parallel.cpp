@@ -89,8 +89,8 @@ struct BatchState {
   std::atomic<bool> failed{false};
   std::mutex mu;
   std::condition_variable done;
-  std::size_t helpers_left SPIDER_GUARDED_BY(mu) = 0;
-  std::exception_ptr first_error SPIDER_GUARDED_BY(mu);
+  std::size_t helpers_left = 0;   // guarded by mu
+  std::exception_ptr first_error;  // guarded by mu
 
   /// Claim-and-run indices until the space is exhausted or a failure stops
   /// the batch. `fn` stays valid for every helper: the caller blocks until

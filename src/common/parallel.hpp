@@ -23,8 +23,6 @@
 #include <thread>
 #include <vector>
 
-#include "common/annotations.hpp"
-
 namespace spider {
 
 /// Fixed-size worker pool draining one FIFO queue of void() tasks. Tasks
@@ -58,8 +56,8 @@ class ThreadPool {
   std::vector<std::thread> workers_;
   std::mutex mu_;
   std::condition_variable cv_task_;
-  std::queue<std::function<void()>> tasks_ SPIDER_GUARDED_BY(mu_);
-  bool stop_ SPIDER_GUARDED_BY(mu_) = false;
+  std::queue<std::function<void()>> tasks_;  // guarded by mu_
+  bool stop_ = false;                         // guarded by mu_
 };
 
 /// The process-wide pool parallel_for drains into. Created on first use and

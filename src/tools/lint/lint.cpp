@@ -108,7 +108,7 @@ LintReport lint_paths(const std::vector<std::string>& paths,
   // Per-file pass, in collect_sources order (sorted).
   for (const SourceFile& file : scanned) {
     // Pair foo.cpp with a sibling foo.hpp (or .h/.hh) for L1 identifier
-    // tracking and L6/L7 declaration lookup.
+    // tracking and L7 declaration lookup.
     SourceFile header;
     const SourceFile* paired = nullptr;
     const fs::path p(file.path);

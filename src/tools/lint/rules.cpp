@@ -1,7 +1,6 @@
 #include "tools/lint/rules.hpp"
 
 #include <algorithm>
-#include <cctype>
 #include <cstdlib>
 #include <set>
 #include <utility>
@@ -51,13 +50,6 @@ const std::vector<RuleInfo> kRules = {
      "invert the dependency: move the shared declaration down a layer, or "
      "pass the upper-layer behaviour in as a callback/interface; justified "
      "exceptions carry // spiderlint: layer-ok"},
-    {"L6", "lock-discipline", Severity::kError,
-     "member annotated SPIDER_GUARDED_BY(m) accessed in a function that "
-     "neither locks m nor is annotated SPIDER_REQUIRES(m)",
-     "lock-ok",
-     "take std::lock_guard/std::unique_lock on the guard mutex before "
-     "touching the member, or annotate the helper SPIDER_REQUIRES(m) and "
-     "make every caller hold the lock"},
     {"L7", "schedule-site-flow", Severity::kError,
      "schedule_at()/schedule_in()/schedule_cross() called from a non-public "
      "helper without forwarding an explicit site: the defaulted sim::Site "
@@ -74,15 +66,6 @@ const std::vector<RuleInfo> kRules = {
      "hoist the literal into a named constant in the subsystem's config "
      "header (or use the units.hpp constants/literals) so the calibration "
      "source is documented once"},
-    {"L12", "pool-capture-discipline", Severity::kError,
-     "closure handed to parallel_for/submit captures by reference state "
-     "that is neither SPIDER_GUARDED_BY a mutex, std::atomic, nor a "
-     "join-protected local",
-     "pool-ok",
-     "capture by value, guard the member (SPIDER_GUARDED_BY + lock, or "
-     "std::atomic), or join the submitted work (a latch or "
-     "condition-variable .wait() in the submitting function) before "
-     "captured locals go out of scope"},
 };
 
 /// True when a flattened argument list carries a scheduling site.
@@ -318,45 +301,11 @@ void run_l4(const SourceFile& file, const TokenStream& stream,
   }
 }
 
-// --- L6: lock discipline ----------------------------------------------------
+// --- L7: schedule-site flow -------------------------------------------------
 
-/// True when the body token range acquires `mutex`: a lock_guard/
-/// unique_lock/scoped_lock constructed over it, or an explicit
-/// `mutex.lock()`.
-bool body_locks(const std::vector<Tok>& t, std::size_t begin, std::size_t end,
-                std::string_view mutex) {
-  for (std::size_t i = begin; i < end && i < t.size(); ++i) {
-    if (t[i].kind != TokKind::kIdent) continue;
-    if (t[i].text == "lock_guard" || t[i].text == "unique_lock" ||
-        t[i].text == "scoped_lock") {
-      // Find the constructor's argument list within a short window (past an
-      // optional template-argument list and the variable name).
-      for (std::size_t p = i + 1; p < end && p < i + 16; ++p) {
-        if (is_punct(t[p], "<")) {
-          p = matching_close(t, p);
-          continue;
-        }
-        if (is_punct(t[p], "(") || is_punct(t[p], "{")) {
-          const std::size_t close = matching_close(t, p);
-          if (find_word(flatten(t, p + 1, close), mutex) !=
-              std::string::npos) {
-            return true;
-          }
-          break;
-        }
-        if (is_punct(t[p], ";")) break;
-      }
-    }
-    if (t[i].text == mutex && i + 3 < end && is_punct(t[i + 1], ".") &&
-        is_ident(t[i + 2], "lock") && is_punct(t[i + 3], "(")) {
-      return true;
-    }
-  }
-  return false;
-}
-
-/// Declaration-side annotations for an out-of-line definition: the matching
-/// declaration's SPIDER_REQUIRES list, looked up by (class, name).
+/// The declaration matching an out-of-line definition, looked up by
+/// (class, name): its access level decides whether the definition is a
+/// public entry point.
 const FunctionSym* find_declaration(const FileSymbols* syms,
                                     const FunctionSym& def) {
   if (syms == nullptr) return nullptr;
@@ -367,56 +316,6 @@ const FunctionSym* find_declaration(const FileSymbols* syms,
   }
   return nullptr;
 }
-
-void run_l6(const SourceFile& file, const TokenStream& stream,
-            const FileSymbols& syms, const FileSymbols* header_syms,
-            std::vector<Finding>& out) {
-  const RuleInfo& info = *rule("L6");
-  std::vector<GuardedMember> guarded = syms.guarded;
-  if (header_syms != nullptr) {
-    guarded.insert(guarded.end(), header_syms->guarded.begin(),
-                   header_syms->guarded.end());
-  }
-  if (guarded.empty()) return;
-
-  const std::vector<Tok>& t = stream.tokens;
-  for (const FunctionSym& fn : syms.functions) {
-    if (!fn.is_definition || fn.ctor_or_dtor || fn.cls.empty()) continue;
-
-    std::vector<std::string> requires_list = fn.requires_mutexes;
-    if (const FunctionSym* decl = find_declaration(header_syms, fn)) {
-      requires_list.insert(requires_list.end(), decl->requires_mutexes.begin(),
-                           decl->requires_mutexes.end());
-    }
-    if (const FunctionSym* decl = find_declaration(&syms, fn)) {
-      requires_list.insert(requires_list.end(), decl->requires_mutexes.begin(),
-                           decl->requires_mutexes.end());
-    }
-
-    for (const GuardedMember& g : guarded) {
-      if (g.cls != fn.cls) continue;
-      const bool annotated =
-          std::find(requires_list.begin(), requires_list.end(), g.mutex) !=
-          requires_list.end();
-      if (annotated || body_locks(t, fn.body_begin, fn.body_end, g.mutex)) {
-        continue;
-      }
-      for (std::size_t i = fn.body_begin; i < fn.body_end && i < t.size();
-           ++i) {
-        if (!is_ident(t[i], g.name)) continue;
-        if (!has_suppression(file, t[i].line, info.suppression)) {
-          add_finding(out, info, file.path, t[i].line, t[i].col,
-                      "member '" + g.name + "' guarded by '" + g.mutex +
-                          "' accessed in '" + fn.cls + "::" + fn.name +
-                          "' without holding the lock");
-        }
-        break;  // one finding per function per member
-      }
-    }
-  }
-}
-
-// --- L7: schedule-site flow -------------------------------------------------
 
 void run_l7(const SourceFile& file, const TokenStream& stream,
             const FileSymbols& syms, const FileSymbols* header_syms,
@@ -501,213 +400,6 @@ void run_l8(const SourceFile& file, const TokenStream& stream,
                   "numeric literal '" + t[i].text +
                       "' is a calibration-scale constant without a named "
                       "source");
-    }
-  }
-}
-
-// --- L12: pool-capture-discipline -------------------------------------------
-//
-// L12 acts only on precise, identifier-level evidence (the engine's design
-// rule: a misparse degrades to a missed finding, never a spurious one). Its
-// inputs: the file's lambdas with parsed capture lists, and the
-// synchronization vocabulary merged from the file and its paired header.
-
-struct ConcurrencyInfo {
-  std::vector<LambdaSym> lambdas;
-  std::set<std::string> guarded;  ///< SPIDER_GUARDED_BY member names
-  std::set<std::string> atomics;  ///< members declared std::atomic<...>
-
-  ConcurrencyInfo(const TokenStream& stream, const FileSymbols& syms,
-                  const TokenStream* header_stream,
-                  const FileSymbols* header_syms)
-      : lambdas(find_lambdas(stream)) {
-    for (const GuardedMember& g : syms.guarded) guarded.insert(g.name);
-    if (header_syms != nullptr) {
-      for (const GuardedMember& g : header_syms->guarded) guarded.insert(g.name);
-    }
-    collect_atomics(stream);
-    if (header_stream != nullptr) collect_atomics(*header_stream);
-  }
-
- private:
-  /// Names declared with a synchronization type — `std::atomic<...>`,
-  /// atomic_flag, mutexes, condition variables — exempt from L12's
-  /// unguarded-capture check: they ARE the synchronization.
-  void collect_atomics(const TokenStream& stream) {
-    const std::vector<Tok>& t = stream.tokens;
-    for (std::size_t i = 0; i + 1 < t.size(); ++i) {
-      if (t[i].kind != TokKind::kIdent ||
-          (!t[i].text.starts_with("atomic") &&
-           !t[i].text.ends_with("mutex") &&
-           !t[i].text.starts_with("condition_variable"))) {
-        continue;
-      }
-      std::size_t j = i + 1;
-      if (is_punct(t[j], "<")) {
-        j = matching_close(t, j);
-        if (j >= t.size()) continue;
-        ++j;
-      }
-      if (j < t.size() && t[j].kind == TokKind::kIdent) {
-        atomics.insert(t[j].text);
-      }
-    }
-  }
-};
-
-/// Lambdas whose introducer lies strictly inside (open, close) — i.e. the
-/// argument range of a call. Nested lambdas are included: they execute as
-/// part of the outer closure, so capture discipline applies transitively.
-std::vector<const LambdaSym*> lambdas_in(const std::vector<LambdaSym>& lams,
-                                         std::size_t open, std::size_t close) {
-  std::vector<const LambdaSym*> out;
-  for (const LambdaSym& lam : lams) {
-    if (lam.intro > open && lam.intro < close) out.push_back(&lam);
-  }
-  return out;
-}
-
-/// True when the identifier at `i` reads as a member of the enclosing
-/// object: unqualified, or explicitly qualified by `this`.
-bool this_member_use(const std::vector<Tok>& t, std::size_t i) {
-  if (i == 0) return true;
-  if (is_punct(t[i - 1], ".") || is_punct(t[i - 1], "->")) {
-    return i >= 2 && is_ident(t[i - 2], "this");
-  }
-  return true;
-}
-
-/// The function whose body token range contains `i`, if any.
-const FunctionSym* enclosing_function(const FileSymbols& syms, std::size_t i) {
-  for (const FunctionSym& fn : syms.functions) {
-    if (fn.is_definition && i >= fn.body_begin && i < fn.body_end) return &fn;
-  }
-  return nullptr;
-}
-
-/// True when the function body shows a join the submitted work cannot
-/// outlive: a latch or condition-variable `.wait(` on it.
-bool body_has_join(const std::vector<Tok>& t, const FunctionSym& fn) {
-  for (std::size_t i = fn.body_begin; i + 1 < fn.body_end && i + 1 < t.size();
-       ++i) {
-    if (t[i].kind != TokKind::kIdent) continue;
-    if (t[i].text == "wait" && is_punct(t[i + 1], "(") && i >= 1 &&
-        (is_punct(t[i - 1], ".") || is_punct(t[i - 1], "->"))) {
-      return true;
-    }
-  }
-  return false;
-}
-
-/// Words (identifier-like runs) of a flattened expression ending in `_` —
-/// the member-naming convention — for init-capture alias checks.
-std::vector<std::string> member_words(std::string_view flat) {
-  std::vector<std::string> words;
-  std::size_t i = 0;
-  while (i < flat.size()) {
-    if (std::isalpha(static_cast<unsigned char>(flat[i])) || flat[i] == '_') {
-      std::size_t j = i;
-      while (j < flat.size() &&
-             (std::isalnum(static_cast<unsigned char>(flat[j])) ||
-              flat[j] == '_')) {
-        ++j;
-      }
-      if (flat[j - 1] == '_') words.emplace_back(flat.substr(i, j - i));
-      i = j;
-    } else {
-      ++i;
-    }
-  }
-  return words;
-}
-
-void run_l12(const SourceFile& file, const TokenStream& stream,
-             const FileSymbols& syms, const ConcurrencyInfo& info,
-             std::vector<Finding>& out) {
-  const RuleInfo& inf = *rule("L12");
-  const std::vector<Tok>& t = stream.tokens;
-  std::set<std::pair<std::size_t, std::string>> flagged;
-  auto flag = [&](std::size_t line, std::size_t col, const std::string& key,
-                  std::string msg) {
-    if (!flagged.emplace(line, key).second) return;
-    if (has_suppression(file, line, inf.suppression)) return;
-    add_finding(out, inf, file.path, line, col, std::move(msg));
-  };
-  auto exempt_member = [&](const std::string& name) {
-    return info.guarded.count(name) != 0 || info.atomics.count(name) != 0;
-  };
-
-  for (std::size_t i = 0; i + 1 < t.size(); ++i) {
-    if (t[i].kind != TokKind::kIdent || !is_punct(t[i + 1], "(")) continue;
-    const std::string& name = t[i].text;
-    const bool forkjoin = name == "parallel_for";
-    const bool pool_submit = name == "submit";
-    if (!forkjoin && !pool_submit) continue;
-    // submit only as a member call — free functions of that name elsewhere
-    // are not the pool.
-    if (pool_submit &&
-        (i == 0 || (!is_punct(t[i - 1], ".") && !is_punct(t[i - 1], "->")))) {
-      continue;
-    }
-    const std::size_t close = matching_close(t, i + 1);
-    if (close >= t.size()) continue;
-
-    // parallel_for joins before returning by contract; submit needs a
-    // visible join in the submitting function or captured refs may dangle.
-    bool joined = forkjoin;
-    if (!joined) {
-      const FunctionSym* fn = enclosing_function(syms, i);
-      joined = fn != nullptr && body_has_join(t, *fn);
-    }
-
-    for (const LambdaSym* lam : lambdas_in(info.lambdas, i + 1, close)) {
-      if (!lam->parsed) continue;
-      for (const LambdaCapture& cap : lam->captures) {
-        if (cap.kind != CaptureKind::kByRef) continue;
-        const bool is_member = !cap.name.empty() && cap.name.back() == '_';
-        if (is_member) {
-          if (!exempt_member(cap.name)) {
-            flag(cap.line, t[lam->intro].col, cap.name,
-                 "pool closure captures member '" + cap.name +
-                     "' by reference without SPIDER_GUARDED_BY/std::atomic");
-          }
-        } else if (cap.init) {
-          for (const std::string& word : member_words(cap.init_expr)) {
-            if (!exempt_member(word)) {
-              flag(cap.line, t[lam->intro].col, word,
-                   "pool closure init-capture '&" + cap.name +
-                       "' aliases member '" + word +
-                       "' without SPIDER_GUARDED_BY/std::atomic");
-            }
-          }
-        } else if (!joined) {
-          flag(cap.line, t[lam->intro].col, "local:" + cap.name,
-               "closure handed to " + name + "() captures local '" +
-                   cap.name +
-                   "' by reference with no visible join in the submitting "
-                   "function");
-        }
-      }
-      if (lam->has_ref_default() && !joined) {
-        flag(t[lam->intro].line, t[lam->intro].col, "default-ref",
-             "default by-reference capture handed to " + name +
-                 "() with no visible join in the submitting function");
-      }
-      if (lam->captures_this()) {
-        for (std::size_t b = lam->body_begin;
-             b < lam->body_end && b < t.size(); ++b) {
-          if (t[b].kind != TokKind::kIdent || t[b].text.size() < 2 ||
-              t[b].text.back() != '_') {
-            continue;
-          }
-          if (!this_member_use(t, b)) continue;
-          if (exempt_member(t[b].text)) continue;
-          flag(t[b].line, t[b].col, t[b].text,
-               "pool closure touches member '" + t[b].text +
-                   "' through its captured this without "
-                   "SPIDER_GUARDED_BY/std::atomic");
-        }
-      }
     }
   }
 }
@@ -810,11 +502,8 @@ std::vector<Finding> lint_file(const SourceFile& file, const FileClass& cls,
       header_syms = index_symbols(*header);
       hsyms = &header_syms;
     }
-    run_l6(file, stream, syms, hsyms, out);
     run_l7(file, stream, syms, hsyms, out);
     if (cls.calib_scope) run_l8(file, stream, syms, out);
-    const ConcurrencyInfo info(stream, syms, header, hsyms);
-    run_l12(file, stream, syms, info, out);
   }
 
   sort_findings(out);

@@ -24,10 +24,6 @@
 //       architectural layering common -> sim -> {block,fs,net} -> workload
 //       -> core -> {tools,infra}: no upward includes, no cycles.
 //       Suppress: // spiderlint: layer-ok
-//   L6 lock-discipline      (error)   a member annotated SPIDER_GUARDED_BY(m)
-//       may only be touched in functions that lock m (lock_guard/unique_lock/
-//       scoped_lock/m.lock()) or are annotated SPIDER_REQUIRES(m).
-//       Suppress: // spiderlint: lock-ok
 //   L7 schedule-site-flow   (error)   Simulator::schedule_at/schedule_in
 //       default their sim::Site argument to the immediate caller;
 //       calling them from a private/protected helper (or an anonymous-
@@ -39,16 +35,11 @@
 //       calibration constant; hoist it into a named constant in a config
 //       header (or units.hpp) so provenance is greppable.
 //       Suppress: // spiderlint: calib-ok
-//   L12 pool-capture-discipline (error) closures handed to parallel_for/
-//       ThreadPool::submit must not capture by reference members lacking
-//       SPIDER_GUARDED_BY/std::atomic; locals are exempt under a visible
-//       join (parallel_for always joins; submit needs a latch or
-//       condition-variable `.wait(` in the same function).
-//       Suppress: // spiderlint: pool-ok
 //
-// Retired ids are never reused: L9-L11 (the shard rules) and L13-L16 were
-// deleted because a run-time check owns each contract
-// (docs/static-analysis.md#rule-audit).
+// Retired ids are never reused: L6 and L12 (the lock and pool-capture
+// rules, now owned by the ThreadSanitizer `threaded` suite), L9-L11 (the
+// shard rules) and L13-L16 were deleted because a run-time check owns each
+// contract (docs/static-analysis.md#rule-audit).
 //
 // A suppression is a trailing comment on the flagged line, a comment-only
 // line directly above, `// spiderlint-next-line: <token>` on the previous
@@ -72,7 +63,7 @@ std::string_view to_string(Severity s);
 
 /// One rule violation.
 struct Finding {
-  std::string rule;        ///< "L1".."L8" or "L12"
+  std::string rule;        ///< "L1".."L5", "L7" or "L8"
   Severity severity = Severity::kError;
   std::string file;
   std::size_t line = 0;    ///< 1-based
@@ -98,7 +89,7 @@ const RuleInfo* rule(std::string_view id);
 
 /// How a file is scoped for rule applicability.
 struct FileClass {
-  bool in_src = false;  ///< under src/: L2, L4, L6, L7, L12 apply
+  bool in_src = false;  ///< under src/: L2, L4, L7 apply
   bool sim_critical = false;  ///< under src/{sim,block,fs,net}: L1 applies
   bool is_header = false;     ///< *.hpp/*.h: L3 applies
   bool rng_home = false;      ///< src/common/rng.*: mt19937 exempt from L2
@@ -113,8 +104,8 @@ struct FileClass {
 FileClass classify_path(std::string_view path);
 
 /// Run the per-file rules over one scanned file. `paired_header`,
-/// when given, seeds L1's identifier tracking and L6/L7's symbol index
-/// (guarded members, declaration access levels) with the file's own header.
+/// when given, seeds L1's identifier tracking and L7's symbol index
+/// (declaration access levels) with the file's own header.
 std::vector<Finding> lint_file(const SourceFile& file, const FileClass& cls,
                                const SourceFile* paired_header = nullptr);
 

@@ -31,17 +31,6 @@ struct Scope {
   bool anon = false;  ///< anonymous namespace
 };
 
-/// Flatten [begin, end) token texts into a single space-joined string.
-std::string flatten(const std::vector<Tok>& t, std::size_t begin,
-                    std::size_t end) {
-  std::string out;
-  for (std::size_t i = begin; i < end && i < t.size(); ++i) {
-    if (!out.empty()) out.push_back(' ');
-    out += t[i].text;
-  }
-  return out;
-}
-
 }  // namespace
 
 FileSymbols index_symbols(const TokenStream& stream) {
@@ -124,7 +113,6 @@ FileSymbols index_symbols(const TokenStream& stream) {
     // --- template head ------------------------------------------------------
     if (tok.text == "template") {
       if (i + 1 < t.size() && is_punct(t[i + 1], "<")) {
-        out.template_head_lines.push_back(tok.line);
         i = matching_close(t, i + 1) + 1;
         continue;
       }
@@ -153,7 +141,6 @@ FileSymbols index_symbols(const TokenStream& stream) {
         ++j;
       }
       if (j < t.size() && is_punct(t[j], "{")) {
-        out.classes.push_back(ClassSym{name, tok.line});
         scopes.push_back(Scope{Scope::Kind::kClass, name,
                                tok.text == "struct" ? Access::kPublic
                                                     : Access::kPrivate,
@@ -177,25 +164,11 @@ FileSymbols index_symbols(const TokenStream& stream) {
       continue;
     }
 
-    // --- SPIDER_GUARDED_BY on a member declaration --------------------------
-    if (tok.text == "SPIDER_GUARDED_BY" && i + 1 < t.size() &&
-        is_punct(t[i + 1], "(")) {
-      const std::size_t close = matching_close(t, i + 1);
-      Scope* cls = current_class();
-      if (cls != nullptr && i >= 1 && t[i - 1].kind == TokKind::kIdent) {
-        out.guarded.push_back(GuardedMember{
-            cls->name, t[i - 1].text, flatten(t, i + 2, close), tok.line});
-      }
-      i = close + 1;
-      continue;
-    }
-
     // --- function declarator ------------------------------------------------
     const bool operator_name = tok.text == "operator";
     bool is_fn_candidate = false;
     std::string fn_name;
     std::string fn_cls;
-    bool dtor = false;
     std::size_t params_open = 0;
 
     if (at_decl_scope() && !stmt_saw_eq && !never_a_function_name(tok.text)) {
@@ -225,7 +198,6 @@ FileSymbols index_symbols(const TokenStream& stream) {
         is_fn_candidate = true;
         // Qualifier / destructor context from the preceding tokens.
         if (i >= 1 && is_punct(t[i - 1], "~")) {
-          dtor = true;
           if (i >= 2 && is_punct(t[i - 2], "::") && i >= 3 &&
               t[i - 3].kind == TokKind::kIdent) {
             fn_cls = t[i - 3].text;
@@ -247,10 +219,7 @@ FileSymbols index_symbols(const TokenStream& stream) {
       }
       FunctionSym fn;
       fn.name = fn_name;
-      fn.line = tok.line;
       fn.in_anon_namespace = in_anon_namespace();
-      fn.ctor_or_dtor = dtor;
-      fn.params = flatten(t, params_open + 1, params_close);
       Scope* cls = current_class();
       if (!fn_cls.empty()) {
         fn.cls = fn_cls;
@@ -258,11 +227,9 @@ FileSymbols index_symbols(const TokenStream& stream) {
         fn.cls = cls->name;
       }
       if (cls != nullptr) fn.access = cls->access;
-      if (!fn.cls.empty() && fn.name == fn.cls) fn.ctor_or_dtor = true;
 
-      // Trailer: const/noexcept/ref-qualifiers/override/final, lock
-      // annotations, trailing return; then body, ctor-init list, `= ...;`,
-      // or `;`.
+      // Trailer: const/noexcept/ref-qualifiers/override/final, trailing
+      // return; then body, ctor-init list, `= ...;`, or `;`.
       std::size_t j = params_close + 1;
       bool parsed = false;
       while (j < t.size() && !parsed) {
@@ -275,13 +242,6 @@ FileSymbols index_symbols(const TokenStream& stream) {
           if (j < t.size() && tr.text == "noexcept" && is_punct(t[j], "(")) {
             j = matching_close(t, j) + 1;
           }
-          continue;
-        }
-        if (is_ident(tr, "SPIDER_REQUIRES") && j + 1 < t.size() &&
-            is_punct(t[j + 1], "(")) {
-          const std::size_t close = matching_close(t, j + 1);
-          fn.requires_mutexes.push_back(flatten(t, j + 2, close));
-          j = close + 1;
           continue;
         }
         if (is_punct(tr, "&") || is_punct(tr, "&&")) {
@@ -368,188 +328,6 @@ FileSymbols index_symbols(const TokenStream& stream) {
     }
 
     ++i;
-  }
-  return out;
-}
-
-bool LambdaSym::captures_this() const {
-  for (const LambdaCapture& c : captures) {
-    if (c.kind == CaptureKind::kThis || c.kind == CaptureKind::kStarThis ||
-        c.kind == CaptureKind::kDefaultRef ||
-        c.kind == CaptureKind::kDefaultValue) {
-      return true;
-    }
-  }
-  return false;
-}
-
-bool LambdaSym::has_ref_default() const {
-  for (const LambdaCapture& c : captures) {
-    if (c.kind == CaptureKind::kDefaultRef) return true;
-  }
-  return false;
-}
-
-bool LambdaSym::has_value_default() const {
-  for (const LambdaCapture& c : captures) {
-    if (c.kind == CaptureKind::kDefaultValue) return true;
-  }
-  return false;
-}
-
-namespace {
-
-/// Parse the capture list between `open` (the `[`) and its matching `]`.
-/// Returns false on any construct the parser does not understand.
-bool parse_captures(const std::vector<Tok>& t, std::size_t open,
-                    std::size_t close, std::vector<LambdaCapture>& out) {
-  std::size_t i = open + 1;
-  while (i < close) {
-    LambdaCapture cap;
-    cap.line = t[i].line;
-    if (is_punct(t[i], "&")) {
-      if (i + 1 >= close || is_punct(t[i + 1], ",")) {
-        cap.kind = CaptureKind::kDefaultRef;
-        ++i;
-      } else if (t[i + 1].kind == TokKind::kIdent) {
-        cap.kind = CaptureKind::kByRef;
-        cap.name = t[i + 1].text;
-        i += 2;
-      } else if (is_punct(t[i + 1], "...")) {
-        // `&...name` pack init-capture — tokenized as dots below.
-        cap.kind = CaptureKind::kByRef;
-        ++i;
-      } else {
-        return false;
-      }
-    } else if (is_punct(t[i], "=")) {
-      // A lone `=` is the value default; `= expr` only follows a name and
-      // is consumed by the init-capture scan below, so reaching `=` here
-      // with more tokens following that are not `,` means a misparse.
-      if (i + 1 < close && !is_punct(t[i + 1], ",")) return false;
-      cap.kind = CaptureKind::kDefaultValue;
-      ++i;
-    } else if (is_ident(t[i], "this")) {
-      cap.kind = CaptureKind::kThis;
-      ++i;
-    } else if (is_punct(t[i], "*") && i + 1 < close &&
-               is_ident(t[i + 1], "this")) {
-      cap.kind = CaptureKind::kStarThis;
-      i += 2;
-    } else if (is_punct(t[i], ".")) {
-      // Pack expansion dots (`xs...`): attach to the previous capture.
-      ++i;
-      continue;
-    } else if (t[i].kind == TokKind::kIdent) {
-      cap.kind = CaptureKind::kByValue;
-      cap.name = t[i].text;
-      ++i;
-    } else {
-      return false;
-    }
-
-    // Init-capture: `name = expr` / `&name = expr`; the expression runs to
-    // the next top-level comma (matching_close skips nested groups).
-    if (i < close && is_punct(t[i], "=") &&
-        (cap.kind == CaptureKind::kByRef ||
-         cap.kind == CaptureKind::kByValue)) {
-      cap.init = true;
-      ++i;
-      int depth = 0;
-      while (i < close) {
-        if (t[i].kind == TokKind::kPunct && t[i].text.size() == 1) {
-          const char c = t[i].text[0];
-          if (c == '(' || c == '<' || c == '[' || c == '{') ++depth;
-          if (c == ')' || c == '>' || c == ']' || c == '}') --depth;
-          if (depth == 0 && c == ',') break;
-        }
-        if (!cap.init_expr.empty()) cap.init_expr.push_back(' ');
-        cap.init_expr += t[i].text;
-        ++i;
-      }
-    }
-    out.push_back(std::move(cap));
-
-    // Trailing pack dots after the name (`args...`).
-    while (i < close && is_punct(t[i], ".")) ++i;
-    if (i < close) {
-      if (!is_punct(t[i], ",")) return false;
-      ++i;
-      if (i >= close) return false;  // trailing comma
-    }
-  }
-  return true;
-}
-
-}  // namespace
-
-std::vector<LambdaSym> find_lambdas(const TokenStream& stream) {
-  const std::vector<Tok>& t = stream.tokens;
-  std::vector<LambdaSym> out;
-  for (std::size_t i = 0; i < t.size(); ++i) {
-    if (!lambda_intro_at(t, i)) continue;
-    const std::size_t close = matching_close(t, i);
-    if (close >= t.size()) continue;
-
-    LambdaSym lam;
-    lam.intro = i;
-    lam.line = t[i].line;
-    lam.col = t[i].col;
-    const bool captures_ok = parse_captures(t, i, close, lam.captures);
-
-    // After `]`: optional template parameters, parameter list, specifiers
-    // (mutable/constexpr/noexcept(...)/static), attributes, and a trailing
-    // return type — then the body `{`. Anything else means this was not a
-    // lambda (or not one we understand): record it unparsed.
-    std::size_t j = close + 1;
-    bool found_body = false;
-    while (j < t.size()) {
-      const Tok& tr = t[j];
-      if (is_punct(tr, "<") || is_punct(tr, "(")) {
-        const std::size_t g = matching_close(t, j);
-        if (g >= t.size()) break;
-        j = g + 1;
-        continue;
-      }
-      if (is_punct(tr, "[") && j + 1 < t.size() && is_punct(t[j + 1], "[")) {
-        const std::size_t g = matching_close(t, j);  // outer of `[[...]]`
-        if (g >= t.size()) break;
-        j = g + 1;
-        continue;
-      }
-      if (tr.kind == TokKind::kIdent &&
-          (tr.text == "mutable" || tr.text == "constexpr" ||
-           tr.text == "consteval" || tr.text == "static" ||
-           tr.text == "noexcept")) {
-        ++j;
-        continue;
-      }
-      if (is_punct(tr, "->")) {
-        // Trailing return type: skip to the body `{` at depth 0.
-        ++j;
-        int depth = 0;
-        while (j < t.size()) {
-          if (t[j].kind == TokKind::kPunct && t[j].text.size() == 1) {
-            const char c = t[j].text[0];
-            if (c == '(' || c == '<' || c == '[') ++depth;
-            if (c == ')' || c == '>' || c == ']') --depth;
-            if (depth == 0 && (c == '{' || c == ';')) break;
-          }
-          ++j;
-        }
-        continue;
-      }
-      if (is_punct(tr, "{")) {
-        const std::size_t body_close = matching_close(t, j);
-        if (body_close >= t.size()) break;
-        lam.body_begin = j + 1;
-        lam.body_end = body_close;
-        found_body = true;
-      }
-      break;
-    }
-    lam.parsed = captures_ok && found_body;
-    if (found_body) out.push_back(std::move(lam));
   }
   return out;
 }

@@ -98,33 +98,6 @@ std::size_t matching_close(const std::vector<Tok>& tokens, std::size_t open) {
   return tokens.size();
 }
 
-bool lambda_intro_at(const std::vector<Tok>& tokens, std::size_t pos) {
-  if (pos >= tokens.size() || !is_punct(tokens[pos], "[")) return false;
-  // `[[` opens an attribute, and a lone `[` directly inside one (the inner
-  // bracket) is not an introducer either.
-  if (pos + 1 < tokens.size() && is_punct(tokens[pos + 1], "[")) return false;
-  if (pos == 0) return true;
-  const Tok& prev = tokens[pos - 1];
-  if (is_punct(prev, "[")) return false;  // inner bracket of `[[`
-  if (prev.kind == TokKind::kIdent) {
-    // After most identifiers `[` subscripts (arr[i]) or declares an array
-    // (int a[4]); after expression-starting keywords it is a lambda.
-    return prev.text == "return" || prev.text == "co_return" ||
-           prev.text == "co_yield" || prev.text == "case" ||
-           prev.text == "throw";
-  }
-  if (prev.kind == TokKind::kNumber || prev.kind == TokKind::kString ||
-      prev.kind == TokKind::kChar) {
-    return false;
-  }
-  // Punctuation: closers end a postfix expression, so `[` subscripts.
-  if (is_punct(prev, ")") || is_punct(prev, "]") || is_punct(prev, "}")) {
-    return false;
-  }
-  // `delete[]` / `new T[n]` reach here only via the ident branch above.
-  return true;
-}
-
 TokenStream tokenize(const SourceFile& file) {
   TokenStream out;
   const std::vector<bool> inactive = inactive_pp_lines(file);

@@ -65,13 +65,4 @@ inline bool is_ident(const Tok& t, std::string_view name) {
 /// point at the opening token.
 std::size_t matching_close(const std::vector<Tok>& tokens, std::size_t open);
 
-/// True when the `[` at `pos` introduces a lambda capture list, judged from
-/// the preceding token: after an identifier, number, string, `)` or `]` a
-/// `[` is a subscript (or an array declarator); after `return`-like
-/// keywords, punctuation that starts an expression, or at stream start it
-/// is a lambda. `[[` (an attribute) is never a lambda introducer. False
-/// negatives are acceptable — capture-based rules miss a finding — but a
-/// subscript must never be parsed as a capture list.
-bool lambda_intro_at(const std::vector<Tok>& tokens, std::size_t pos);
-
 }  // namespace spider::lint

@@ -3,6 +3,7 @@
 // terminate, and never produce invalid rates.
 #include <gtest/gtest.h>
 
+#include <string>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -23,8 +24,9 @@ TEST_P(DynamicNetworkP, RandomScenarioConservesAndTerminates) {
   const std::size_t nr = 3 + rng.uniform_index(8);
   std::vector<sim::ResourceId> resources;
   for (std::size_t r = 0; r < nr; ++r) {
-    resources.push_back(
-        net.add_resource("r" + std::to_string(r), rng.uniform(50.0, 500.0)));
+    std::string name = "r";
+    name += std::to_string(r);
+    resources.push_back(net.add_resource(name, rng.uniform(50.0, 500.0)));
   }
 
   double expected_bytes = 0.0;

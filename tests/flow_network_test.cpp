@@ -20,7 +20,7 @@ TEST_F(Fixture, SingleFlowCompletesAtCapacityTime) {
   const auto r = net.add_resource("link", 100.0);
   SimTime done_at = -1;
   FlowDesc d;
-  d.path = {{r, 1.0}};
+  d.path.push_back({r, 1.0});
   d.size = 1000.0;
   d.on_complete = [&](FlowId, SimTime t) { done_at = t; };
   net.start_flow(std::move(d));
@@ -33,7 +33,7 @@ TEST_F(Fixture, RateCapSlowsFlow) {
   const auto r = net.add_resource("link", 100.0);
   SimTime done_at = -1;
   FlowDesc d;
-  d.path = {{r, 1.0}};
+  d.path.push_back({r, 1.0});
   d.size = 100.0;
   d.rate_cap = 10.0;
   d.on_complete = [&](FlowId, SimTime t) { done_at = t; };
@@ -50,7 +50,7 @@ TEST_F(Fixture, TwoFlowsShareThenSpeedUp) {
   std::vector<double> done;
   for (double size : {100.0, 200.0}) {
     FlowDesc d;
-    d.path = {{r, 1.0}};
+    d.path.push_back({r, 1.0});
     d.size = size;
     d.on_complete = [&](FlowId, SimTime t) { done.push_back(to_seconds(t)); };
     net.start_flow(std::move(d));
@@ -65,7 +65,7 @@ TEST_F(Fixture, LatencyDelaysActivation) {
   const auto r = net.add_resource("link", 100.0);
   SimTime done_at = -1;
   FlowDesc d;
-  d.path = {{r, 1.0}};
+  d.path.push_back({r, 1.0});
   d.size = 100.0;
   d.latency = 5 * kSecond;
   d.on_complete = [&](FlowId, SimTime t) { done_at = t; };
@@ -79,7 +79,7 @@ TEST_F(Fixture, CapacityChangeMidFlight) {
   const auto r = net.add_resource("link", 100.0);
   SimTime done_at = -1;
   FlowDesc d;
-  d.path = {{r, 1.0}};
+  d.path.push_back({r, 1.0});
   d.size = 1000.0;  // 10 s at full rate
   d.on_complete = [&](FlowId, SimTime t) { done_at = t; };
   net.start_flow(std::move(d));
@@ -93,7 +93,7 @@ TEST_F(Fixture, CancelFlowSkipsCallback) {
   const auto r = net.add_resource("link", 10.0);
   bool fired = false;
   FlowDesc d;
-  d.path = {{r, 1.0}};
+  d.path.push_back({r, 1.0});
   d.size = 100.0;
   d.on_complete = [&](FlowId, SimTime) { fired = true; };
   const FlowId id = net.start_flow(std::move(d));
@@ -111,13 +111,13 @@ TEST_F(Fixture, CancelFlowDuringLatencyWindowNeverActivates) {
   int cancelled_fired = 0;
   SimTime kept_done = -1;
   FlowDesc d;
-  d.path = {{r, 1.0}};
+  d.path.push_back({r, 1.0});
   d.size = 10.0;
   d.latency = 5 * kSecond;
   d.on_complete = [&](FlowId, SimTime) { ++cancelled_fired; };
   const FlowId id = net.start_flow(std::move(d));
   FlowDesc kept;
-  kept.path = {{r, 1.0}};
+  kept.path.push_back({r, 1.0});
   kept.size = 10.0;
   kept.latency = 3 * kSecond;
   kept.on_complete = [&](FlowId, SimTime t) { kept_done = t; };
@@ -137,12 +137,12 @@ TEST_F(Fixture, CompletionCallbackCanStartNewFlow) {
   const auto r = net.add_resource("link", 100.0);
   int completions = 0;
   FlowDesc first;
-  first.path = {{r, 1.0}};
+  first.path.push_back({r, 1.0});
   first.size = 100.0;
   first.on_complete = [&](FlowId, SimTime) {
     ++completions;
     FlowDesc second;
-    second.path = {{r, 1.0}};
+    second.path.push_back({r, 1.0});
     second.size = 100.0;
     second.on_complete = [&](FlowId, SimTime) { ++completions; };
     net.start_flow(std::move(second));
@@ -156,7 +156,7 @@ TEST_F(Fixture, CompletionCallbackCanStartNewFlow) {
 TEST_F(Fixture, TelemetryAccumulatesServedUnits) {
   const auto r = net.add_resource("link", 100.0);
   FlowDesc d;
-  d.path = {{r, 2.0}};  // cost 2: consumes 2 units per delivered unit
+  d.path.push_back({r, 2.0});  // cost 2: consumes 2 units per delivered unit
   d.size = 100.0;
   net.start_flow(std::move(d));
   sim.run();
@@ -167,7 +167,7 @@ TEST_F(Fixture, TelemetryAccumulatesServedUnits) {
 TEST_F(Fixture, AggregateRateReflectsActiveFlows) {
   const auto r = net.add_resource("link", 100.0);
   FlowDesc d;
-  d.path = {{r, 1.0}};
+  d.path.push_back({r, 1.0});
   d.size = 500.0;
   net.start_flow(std::move(d));
   sim.run(kSecond);  // mid-flight
@@ -180,7 +180,7 @@ TEST_F(Fixture, StarvedFlowWakesOnCapacityRestore) {
   const auto r = net.add_resource("link", 0.0);
   SimTime done_at = -1;
   FlowDesc d;
-  d.path = {{r, 1.0}};
+  d.path.push_back({r, 1.0});
   d.size = 100.0;
   d.on_complete = [&](FlowId, SimTime t) { done_at = t; };
   net.start_flow(std::move(d));
@@ -198,7 +198,7 @@ TEST_F(Fixture, TruncatedCompletionTimeCostsOneEventAndNoSolve) {
   int completions = 0;
   SimTime done_at = -1;
   FlowDesc d;
-  d.path = {{r, 1.0}};
+  d.path.push_back({r, 1.0});
   d.size = 1e6;
   d.on_complete = [&](FlowId, SimTime t) {
     ++completions;
@@ -221,15 +221,15 @@ TEST_F(Fixture, TruncatedCompletionTimeCostsOneEventAndNoSolve) {
 TEST_F(Fixture, RejectsInvalidFlows) {
   const auto r = net.add_resource("link", 10.0);
   FlowDesc bad_size;
-  bad_size.path = {{r, 1.0}};
+  bad_size.path.push_back({r, 1.0});
   bad_size.size = 0.0;
   EXPECT_THROW(net.start_flow(std::move(bad_size)), std::invalid_argument);
   FlowDesc bad_path;
-  bad_path.path = {{42, 1.0}};
+  bad_path.path.push_back({42, 1.0});
   bad_path.size = 1.0;
   EXPECT_THROW(net.start_flow(std::move(bad_path)), std::out_of_range);
   FlowDesc bad_cap;
-  bad_cap.path = {{r, 1.0}};
+  bad_cap.path.push_back({r, 1.0});
   bad_cap.size = 1.0;
   bad_cap.rate_cap = std::nan("");
   EXPECT_THROW(net.start_flow(std::move(bad_cap)), std::invalid_argument);
@@ -292,7 +292,7 @@ ScenarioResult run_scenario(const std::vector<double>& sizes, bool churn) {
     std::vector<FlowId> chaff_ids;
     for (int i = 0; i < count; ++i) {
       FlowDesc d;
-      d.path = {{chaff_r, 1.0}};
+      d.path.push_back({chaff_r, 1.0});
       d.size = 1.0;
       chaff_ids.push_back(net.start_flow(std::move(d)));
     }
@@ -310,12 +310,9 @@ ScenarioResult run_scenario(const std::vector<double>& sizes, bool churn) {
     FlowDesc d;
     // Path shape cycles through the measured resources; every flow crosses
     // at least two so fair-share coupling is real.
-    switch (i % 4) {
-      case 0: d.path = {{r0, 1.0}, {r1, 1.0}}; break;
-      case 1: d.path = {{r1, 1.0}, {r2, 1.0}}; break;
-      case 2: d.path = {{r2, 1.0}, {r3, 1.0}}; break;
-      default: d.path = {{r3, 1.0}, {r0, 1.0}}; break;
-    }
+    const ResourceId ring[] = {r0, r1, r2, r3};
+    d.path.push_back({ring[i % 4], 1.0});
+    d.path.push_back({ring[(i + 1) % 4], 1.0});
     d.size = sizes[i];
     // Distinct inexact cap per flow: fair-share ties would give every flow
     // on a bottleneck the *same* rate, and reordered sums of equal values
@@ -408,7 +405,7 @@ TEST_F(Fixture, NearDeadFlowSchedulesNoCompletionPastSimTimeEnd) {
   const auto disk = net.add_resource("near-dead", 1e-3);
   int completions = 0;
   FlowDesc d;
-  d.path = {{disk, 1.0}};
+  d.path.push_back({disk, 1.0});
   d.size = 1e12;
   d.on_complete = [&](FlowId, SimTime) { ++completions; };
   const FlowId id = net.start_flow(std::move(d));
