@@ -24,9 +24,9 @@
 
 namespace spider::bench {
 
-/// The one real clock under bench/: wall time is what a bench measures, and
-/// none of it feeds a simulation.
-using Clock = std::chrono::steady_clock;  // spiderlint: nondet-ok
+/// The one real clock under bench/: wall time is what a bench measures.
+// spiderlint: nondet-ok — bench wall time never feeds a simulation
+using Clock = std::chrono::steady_clock;
 
 inline double seconds_since(Clock::time_point start) {
   return std::chrono::duration<double>(Clock::now() - start).count();

@@ -1,11 +1,14 @@
 #!/usr/bin/env bash
-# Correctness gate: lint + sanitized builds + deterministic-replay
-# verification.
+# Correctness gate: lint + the full suite at -Werror + sanitized builds +
+# deterministic-replay verification.
 #
 # Stage 0 runs the static-analysis pass (spiderlint, plus clang-tidy when
 # installed — see docs/static-analysis.md); it is the cheapest stage, so it
-# goes first. Then the address and undefined sanitizer presets build and run
-# the full test suite, the thread preset runs the `threaded` tests (the
+# goes first. The build-test stage then mirrors CI's build-test job: a
+# RelWithDebInfo build with -DSPIDER_WERROR=ON and the full ctest suite,
+# which alone runs the lint tests, the CLI exit-code tests and the `paper`
+# benches. Then the address and undefined sanitizer presets build and run
+# the `sanitized` tests, the thread preset runs the `threaded` tests (the
 # tests that run pool workers or sharded-engine lanes concurrently: the
 # project's one concurrency check), and finally the deterministic-replay
 # test runs twice in fresh processes and the replay hashes are diffed —
@@ -38,6 +41,15 @@ if [ ! -x "${BUILD_ROOT}/lint/tools/spiderlint" ]; then
        "this tree" >&2
   exit 2
 fi
+
+# The same settings as CI's build-test job: any warning fails the build,
+# and every registered test runs.
+echo "=== [build-test] configure + build (RelWithDebInfo, -Werror) ==="
+cmake -B "${BUILD_ROOT}/build-test" -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
+      -DSPIDER_WERROR=ON
+cmake --build "${BUILD_ROOT}/build-test" -j "${JOBS}"
+echo "=== [build-test] ctest (full suite) ==="
+ctest --test-dir "${BUILD_ROOT}/build-test" --output-on-failure -j "${JOBS}"
 
 # run_preset <preset> <ctest label>: the same preset/label pairs as CI's
 # `sanitized` matrix.
@@ -196,7 +208,8 @@ fi
 echo "=== bench smoke (five gated benches vs ci/ baselines) ==="
 scripts/bench.sh --smoke "${BUILD_ROOT}/bench"
 
-echo "OK: sanitized and threaded suites passed, replay hashes and fault" \
+echo "OK: full suite passed at -Werror, sanitized and threaded suites" \
+     "passed, replay hashes and fault" \
      "verdicts stable, parallel campaigns deterministic, fsck repairs" \
      "converged, changelog churn oracle-clean at 1e9 logical files," \
      "bench smoke within baseline"

@@ -8,22 +8,15 @@
 #
 # Usage: scripts/lint.sh [options] [path...]
 #   --fix-hints       print spiderlint fix-it hints and the per-rule digest
-#   --json            shorthand for --format=json
-#   --format=FMT      spiderlint output format: text (default), json, sarif
-#   --baseline=FILE   baseline file (default: ci/spiderlint-baseline.txt
-#                     when it exists; --baseline= with no file disables)
+#   --format=FMT      spiderlint output format: text (default) or sarif
 #   --changed         the pre-commit hook's fast path: clang-tidy checks only
 #                     the files touched vs HEAD (staged + unstaged +
 #                     untracked) plus every file that includes them, found
 #                     by a fixpoint over the in-tree include spellings.
 #                     spiderlint still lints the full tree (<0.1 s); HEAD is
-#                     baseline-clean, so whatever it reports comes from the
+#                     lint-clean, so whatever it reports comes from the
 #                     change. Ignores path args; exits 0 at once when no
 #                     lintable file changed.
-#   --prune           rewrite the baseline dropping stale entries (full-tree
-#                     runs only: pruning against a partial run deletes
-#                     entries for files that simply were not linted)
-#   --stale=MODE      warn (default) or error on stale baseline entries
 #   --stats           print the spiderlint-stats line (files/findings/ms)
 #   path...           files or directories (default: src tests bench)
 #
@@ -36,33 +29,18 @@ JOBS="$(nproc 2>/dev/null || echo 4)"
 
 SPIDERLINT_ARGS=()
 PATHS=()
-BASELINE="__default__"
 CHANGED=0
-PRUNE=0
-STALE_MODE=""
 for arg in "$@"; do
   case "$arg" in
     --fix-hints)   SPIDERLINT_ARGS+=(--fix-hints) ;;
-    --json)        SPIDERLINT_ARGS+=(--format=json) ;;
     --format=*)    SPIDERLINT_ARGS+=("$arg") ;;
     --stats)       SPIDERLINT_ARGS+=(--stats) ;;
     --changed)     CHANGED=1 ;;
-    --prune)       PRUNE=1 ;;
-    --stale=*)     STALE_MODE="${arg#--stale=}" ;;
-    --baseline=*)  BASELINE="${arg#--baseline=}" ;;
     --*)           echo "unknown option: $arg" >&2; exit 2 ;;
     *)             PATHS+=("$arg") ;;
   esac
 done
 if [ "${#PATHS[@]}" -eq 0 ]; then PATHS=(src tests bench); fi
-if [ "$BASELINE" = "__default__" ] && [ -f ci/spiderlint-baseline.txt ]; then
-  BASELINE=ci/spiderlint-baseline.txt
-fi
-if [ -n "$BASELINE" ] && [ "$BASELINE" != "__default__" ]; then
-  SPIDERLINT_ARGS+=("--baseline=${BASELINE}")
-fi
-if [ "$PRUNE" -eq 1 ]; then SPIDERLINT_ARGS+=(--prune-baseline); fi
-if [ -n "$STALE_MODE" ]; then SPIDERLINT_ARGS+=("--stale=${STALE_MODE}"); fi
 
 # --changed: collect files touched vs HEAD, then close over their includers
 # so a header edit re-checks every translation unit it can break. Include

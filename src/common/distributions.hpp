@@ -81,7 +81,6 @@ class DiscreteMixture {
   explicit DiscreteMixture(std::span<const double> weights);
 
   std::size_t sample(Rng& rng) const;
-  std::size_t components() const { return cdf_.size(); }
   /// Normalized probability of component i.
   double probability(std::size_t i) const;
 

@@ -106,10 +106,9 @@ void FlowNetwork::advance_progress() {
 
 void FlowNetwork::resolve() {
   sim_.cancel(completion_);  // the stale completion; a no-op once it fired
-  // Unchanged inputs give bit-identical rates: only completion times move.
   if (inputs_changed_) {
     solve();
-  } else {
+  } else {  // unchanged inputs, bit-identical rates: only completions move
     ++counters_.skipped_solves;
   }
   double min_completion_s = kUnbounded;
@@ -123,6 +122,7 @@ void FlowNetwork::resolve() {
   const double dt_ns = min_completion_s * static_cast<double>(kSecond);
   if (dt_ns < static_cast<double>(headroom)) {  // so the cast and now + dt fit
     const SimTime dt = std::max<SimTime>(static_cast<SimTime>(dt_ns), 1);
+    // spiderlint: flow-ok — a self-wakeup, deliberately the solver's own site
     completion_ = sim_.schedule_in(dt, [this] { on_completion_event(); });
   }
 }

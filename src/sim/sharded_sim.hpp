@@ -259,9 +259,6 @@ class ShardedReplay {
   /// event_hash byte-for-byte.
   std::uint64_t serial_equivalent_hash() const;
 
-  const ReplayRecorder& recorder(ShardId s) const {
-    return recorders_[s].recorder;
-  }
   std::size_t events_recorded() const;
 
  private:

@@ -21,10 +21,13 @@ EventHandle Simulator::schedule_at(SimTime when, EventFn fn, Site site) {
 }
 
 EventHandle Simulator::schedule_in(SimTime dt, EventFn fn, Site site) {
-  if (dt < 0) {
+  // A delay past SimTime's end would overflow now_ + dt into the past.
+  if (dt < 0 || dt > std::numeric_limits<SimTime>::max() - now_) {
     std::ostringstream msg;
-    msg << "schedule_in: negative delay (dt=" << dt << "ns, now=" << now_
-        << "ns; scheduled from " << site.file << ":" << site.line << ")";
+    msg << "schedule_in: "
+        << (dt < 0 ? "negative delay" : "delay past SimTime's end")
+        << " (dt=" << dt << "ns, now=" << now_ << "ns; scheduled from "
+        << site.file << ":" << site.line << ")";
     throw std::invalid_argument(msg.str());
   }
   return queue_.schedule(now_ + dt, std::move(fn), site.hash);

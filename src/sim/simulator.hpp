@@ -58,7 +58,7 @@ class Simulator {
 
   /// Schedule at an absolute time (must be >= now()).
   EventHandle schedule_at(SimTime when, EventFn fn, Site site = {});
-  /// Schedule `dt` after now (dt >= 0).
+  /// Schedule `dt` after now (0 <= dt <= SimTime's max - now()).
   EventHandle schedule_in(SimTime dt, EventFn fn, Site site = {});
   /// Cancel a pending event; a no-op (false) once it has fired or been
   /// cancelled.

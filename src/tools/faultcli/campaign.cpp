@@ -1,13 +1,12 @@
 // Fault-campaign engine (campaign.hpp). Each campaign owns one serial
 // sim::Simulator; spiderfault --jobs runs whole campaigns side by side.
 //
-// Editing note: a replay site is a file basename plus a line (sim::Site)
-// and every verdict's replay_hash folds the sites in. The schedule calls
-// in start_rebuild(), every() and prepare() therefore sit on fixed lines
-// of this file (390, 535, 537, 626 and 627): moving one changes every
-// replay_hash even when behaviour is unchanged. Keep edits above them
-// line-neutral, or re-pin the replay hashes on purpose; stream_hash, the
-// golden pin, has no sites and does not move.
+// Editing note: every verdict's replay_hash folds in the sites (sim::Site:
+// file basename plus line) of the schedule calls in start_rebuild(), every()
+// and prepare(), so they sit on fixed lines of this file (390, 535, 537, 626
+// and 627): moving one changes every replay_hash even when behaviour is
+// unchanged. Keep edits above them line-neutral, or re-pin the replay hashes
+// on purpose; stream_hash, the golden pin, has no sites and does not move.
 
 #include "tools/faultcli/campaign.hpp"
 
@@ -387,6 +386,7 @@ void FaultCampaign::start_rebuild(std::size_t g, std::size_t m) {
   group.start_rebuild(m);
   const double duration_s = group.rebuild_time_s();
   rebuilds_.on_start(g, sim_.now(), duration_s);
+  // spiderlint: flow-ok — rebuild completions are campaign-internal bookkeeping
   sim_.schedule_in(sim::from_seconds(duration_s), [this, g, m] {
     auto& rebuilt = ssu_.group(g);
     // An enclosure restore (or data loss) may have changed the member's
@@ -528,13 +528,13 @@ void FaultCampaign::add_oracles() {
 }
 
 void FaultCampaign::every(sim::SimTime interval, std::function<void()> fn) {
-  drivers_.emplace_back();
-  std::function<void()>& slot = drivers_.back();
+  std::function<void()>& slot = drivers_.emplace_back();
   slot = [this, interval, fn = std::move(fn), &slot] {
     fn();
+    // spiderlint: flow-ok — the periodic-probe trampoline is the site by design
     if (sim_.now() + interval <= horizon_) sim_.schedule_in(interval, slot);
   };
-  sim_.schedule_in(interval, slot);
+  sim_.schedule_in(interval, slot);  // spiderlint: flow-ok — seeds the trampoline
 }
 
 void FaultCampaign::do_create() {

@@ -1,19 +1,8 @@
 // spiderlint CLI — determinism & unit-safety static analysis for spiderpfs.
 //
 // Usage: spiderlint [options] <path>...
-//   --format=text|json|sarif  output format (default text)
+//   --format=text|sarif  output format (default text)
 //   --fix-hints          include fix-it hints and a per-rule digest (text)
-//   --baseline=FILE      drop findings grandfathered in FILE
-//                        (RULE :: file :: message :: reason, line-number
-//                        independent); stale entries are warned to stderr
-//   --write-baseline     print the run's findings in baseline format and
-//                        exit (reasons left as 'justify-me' for editing)
-//   --prune-baseline     rewrite the --baseline file in place with the
-//                        stale entries removed (comments and live entries
-//                        survive verbatim)
-//   --stale=warn|error   what a stale baseline entry does to the exit code
-//                        (default warn; CI runs error so fixed findings
-//                        must be deleted from the baseline, not hoarded)
 //   --stats              print `spiderlint-stats: files=N findings=N
 //                        wall_ms=N scan_ms=N rules_ms=N global_ms=N` to
 //                        stderr (CI surfaces it in the job summary;
@@ -23,17 +12,16 @@
 //                        that live outside src/)
 //   --list-rules         print the rule table and exit
 //
-// Exit codes: 0 clean (after baseline), 1 findings (or stale entries under
-// --stale=error), 2 usage or I/O error.
+// A finding is excused only by a suppression comment where it occurs
+// (`// spiderlint: <token> — <reason>`, docs/static-analysis.md).
+//
+// Exit codes: 0 clean, 1 findings, 2 usage or I/O error.
 #include <chrono>
 #include <cstdio>
-#include <fstream>
-#include <sstream>
 #include <string>
 #include <string_view>
 #include <vector>
 
-#include "tools/lint/baseline.hpp"
 #include "tools/lint/lint.hpp"
 
 namespace {
@@ -50,9 +38,7 @@ void print_rule_table() {
 
 int usage(const char* argv0) {
   std::fprintf(stderr,
-               "usage: %s [--format=text|json|sarif] [--fix-hints]\n"
-               "       [--baseline=FILE] [--write-baseline]\n"
-               "       [--prune-baseline] [--stale=warn|error] [--stats]\n"
+               "usage: %s [--format=text|sarif] [--fix-hints] [--stats]\n"
                "       [--treat-as=sim-critical|src|header|calib]...\n"
                "       [--list-rules] <path>...\n",
                argv0);
@@ -65,14 +51,9 @@ int main(int argc, char** argv) {
   using namespace spider::lint;
 
   LintOptions opts;
-  enum class Format { kText, kJson, kSarif };
-  Format format = Format::kText;
+  bool sarif = false;
   bool fix_hints = false;
-  bool write_baseline = false;
-  bool prune_baseline = false;
-  bool stale_is_error = false;
   bool print_stats = false;
-  std::string baseline_path;
   std::vector<std::string> paths;
   FileClass forced;
   bool have_forced = false;
@@ -84,33 +65,14 @@ int main(int argc, char** argv) {
       return 0;
     } else if (arg == "--fix-hints") {
       fix_hints = true;
-    } else if (arg == "--write-baseline") {
-      write_baseline = true;
-    } else if (arg == "--prune-baseline") {
-      prune_baseline = true;
     } else if (arg == "--stats") {
       print_stats = true;
-    } else if (arg.starts_with("--stale=")) {
-      const std::string_view mode = arg.substr(8);
-      if (mode == "error") {
-        stale_is_error = true;
-      } else if (mode == "warn") {
-        stale_is_error = false;
-      } else {
-        std::fprintf(stderr, "spiderlint: unknown stale mode '%.*s'\n",
-                     static_cast<int>(mode.size()), mode.data());
-        return usage(argv[0]);
-      }
-    } else if (arg.starts_with("--baseline=")) {
-      baseline_path = std::string(arg.substr(11));
     } else if (arg.starts_with("--format=")) {
       const std::string_view fmt = arg.substr(9);
-      if (fmt == "json") {
-        format = Format::kJson;
-      } else if (fmt == "sarif") {
-        format = Format::kSarif;
+      if (fmt == "sarif") {
+        sarif = true;
       } else if (fmt == "text") {
-        format = Format::kText;
+        sarif = false;
       } else {
         std::fprintf(stderr, "spiderlint: unknown format '%.*s'\n",
                      static_cast<int>(fmt.size()), fmt.data());
@@ -143,74 +105,21 @@ int main(int argc, char** argv) {
     }
   }
   if (paths.empty()) return usage(argv[0]);
-  if (prune_baseline && baseline_path.empty()) {
-    std::fprintf(stderr, "spiderlint: --prune-baseline needs --baseline=\n");
-    return usage(argv[0]);
-  }
   if (have_forced) opts.forced_class = forced;
 
   // Wall-clock for the stats line only — findings never depend on it.
   // spiderlint-file: nondet-ok — lint runtime telemetry, not simulation
   const auto t0 = std::chrono::steady_clock::now();
   std::vector<std::string> errors;
-  LintReport report = lint_paths(paths, opts, errors);
+  const LintReport report = lint_paths(paths, opts, errors);
   const auto t1 = std::chrono::steady_clock::now();
-
-  std::size_t stale_count = 0;
-  if (!baseline_path.empty()) {
-    std::ifstream in(baseline_path, std::ios::binary);
-    if (!in) {
-      std::fprintf(stderr, "spiderlint: cannot read baseline '%s'\n",
-                   baseline_path.c_str());
-      return 2;
-    }
-    std::ostringstream buf;
-    buf << in.rdbuf();
-    const std::vector<BaselineEntry> entries =
-        parse_baseline(buf.str(), errors);
-    const std::vector<BaselineEntry> stale = apply_baseline(report, entries);
-    stale_count = stale.size();
-    if (prune_baseline) {
-      std::size_t pruned = 0;
-      const std::string rewritten =
-          prune_baseline_text(buf.str(), stale, pruned);
-      std::ofstream outf(baseline_path,
-                         std::ios::binary | std::ios::trunc);
-      if (!outf || !(outf << rewritten)) {
-        std::fprintf(stderr, "spiderlint: cannot rewrite baseline '%s'\n",
-                     baseline_path.c_str());
-        return 2;
-      }
-      std::fprintf(stderr,
-                   "spiderlint: pruned %zu stale baseline entr%s from %s\n",
-                   pruned, pruned == 1 ? "y" : "ies", baseline_path.c_str());
-      stale_count = 0;  // pruned away: nothing left to warn or fail on
-    } else {
-      for (const BaselineEntry& e : stale) {
-        std::fprintf(stderr,
-                     "spiderlint: %s baseline entry (fixed? delete it, or "
-                     "run --prune-baseline): %s :: %s :: %s\n",
-                     stale_is_error ? "STALE" : "stale", e.rule.c_str(),
-                     e.file.c_str(), e.message.c_str());
-      }
-    }
-  }
 
   for (const std::string& err : errors) {
     std::fprintf(stderr, "spiderlint: %s\n", err.c_str());
   }
 
-  if (write_baseline) {
-    std::fputs(render_baseline(report).c_str(), stdout);
-    return errors.empty() ? 0 : 2;
-  }
-
-  std::string rendered;
-  switch (format) {
-    case Format::kJson: rendered = render_json(report); break;
-    case Format::kSarif: rendered = render_sarif(report); break;
-    case Format::kText: rendered = render_text(report, fix_hints); break;
-  }
+  const std::string rendered =
+      sarif ? render_sarif(report) : render_text(report, fix_hints);
   std::fputs(rendered.c_str(), stdout);
 
   if (print_stats) {
@@ -227,7 +136,5 @@ int main(int argc, char** argv) {
   }
 
   if (!errors.empty()) return 2;
-  if (!report.clean()) return 1;
-  if (stale_is_error && stale_count != 0) return 1;
-  return 0;
+  return report.clean() ? 0 : 1;
 }

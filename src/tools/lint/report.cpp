@@ -101,22 +101,4 @@ std::string render_sarif(const LintReport& report) {
   return out.str();
 }
 
-std::string render_json(const LintReport& report) {
-  std::ostringstream out;
-  out << "{\"version\": 1, \"files_scanned\": " << report.files_scanned
-      << ", \"counts\": {\"error\": " << report.errors()
-      << ", \"warning\": " << report.warnings() << "}, \"findings\": [";
-  for (std::size_t i = 0; i < report.findings.size(); ++i) {
-    const Finding& f = report.findings[i];
-    if (i > 0) out << ", ";
-    out << "{\"rule\": \"" << json_escape(f.rule) << "\", \"severity\": \""
-        << to_string(f.severity) << "\", \"file\": \"" << json_escape(f.file)
-        << "\", \"line\": " << f.line << ", \"column\": " << f.column
-        << ", \"message\": \"" << json_escape(f.message)
-        << "\", \"hint\": \"" << json_escape(f.hint) << "\"}";
-  }
-  out << "]}\n";
-  return out.str();
-}
-
 }  // namespace spider::lint

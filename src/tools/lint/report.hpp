@@ -1,4 +1,4 @@
-// spiderlint output rendering: human text and machine JSON.
+// spiderlint output rendering: human text and SARIF.
 #pragma once
 
 #include <cstddef>
@@ -15,8 +15,7 @@ struct LintReport {
   std::size_t files_scanned = 0;
   /// Per-phase wall time (milliseconds), reported by --stats: read+scan,
   /// the per-file rule pass, and the project-wide L5 include-graph pass.
-  /// Not part of the JSON/SARIF renderings — timing is telemetry, not a
-  /// finding.
+  /// Not part of the SARIF rendering — timing is telemetry, not a finding.
   double scan_ms = 0.0;
   double rules_ms = 0.0;
   double global_ms = 0.0;
@@ -30,12 +29,6 @@ struct LintReport {
 /// hint is printed indented underneath and a per-rule hint digest closes
 /// the report.
 std::string render_text(const LintReport& report, bool fix_hints);
-
-/// Stable machine-readable JSON for CI:
-/// {"version":1,"files_scanned":N,
-///  "counts":{"error":E,"warning":W},
-///  "findings":[{"rule","severity","file","line","column","message","hint"}]}
-std::string render_json(const LintReport& report);
 
 /// SARIF 2.1.0 for code-scanning UIs: one run, the full rule table under
 /// tool.driver.rules, one result per finding with a physicalLocation

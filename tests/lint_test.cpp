@@ -10,7 +10,6 @@
 
 #include <gtest/gtest.h>
 
-#include "tools/lint/baseline.hpp"
 #include "tools/lint/lint.hpp"
 #include "tools/lint/report.hpp"
 #include "tools/lint/rules.hpp"
@@ -112,18 +111,6 @@ TEST(SpiderLint, TextReportHintsOnRequest) {
   const std::string hinted = render_text(r, /*fix_hints=*/true);
   EXPECT_EQ(plain.find("units.hpp vocabulary"), std::string::npos);
   EXPECT_NE(hinted.find("units.hpp vocabulary"), std::string::npos) << hinted;
-}
-
-TEST(SpiderLint, JsonReportCarriesFindings) {
-  const LintReport r = lint_fixture("l3_raw_unit_double.hpp", kSrcHeader);
-  const std::string json = render_json(r);
-  EXPECT_NE(json.find("\"version\": 1"), std::string::npos) << json;
-  EXPECT_NE(json.find("\"counts\": {\"error\": 0, \"warning\": 1}"),
-            std::string::npos)
-      << json;
-  EXPECT_NE(json.find("\"rule\": \"L3\""), std::string::npos) << json;
-  EXPECT_NE(json.find("\"line\": 10"), std::string::npos) << json;
-  EXPECT_NE(json.find("\"column\": 3"), std::string::npos) << json;
 }
 
 TEST(SpiderLint, RuleTableIsComplete) {
@@ -247,101 +234,6 @@ TEST(SpiderLint, SarifReportIsWellFormed) {
   EXPECT_NE(sarif.find("\"artifactLocation\""), std::string::npos);
   EXPECT_NE(sarif.find("\"startLine\": 12"), std::string::npos);
   EXPECT_NE(sarif.find("\"startColumn\": 49"), std::string::npos);
-}
-
-// ---------------------------------------------------------------------------
-// Baseline.
-
-TEST(SpiderLint, BaselineParsesEntriesAndReportsMalformedLines) {
-  std::vector<std::string> errors;
-  const std::vector<BaselineEntry> entries = parse_baseline(
-      "# comment\n"
-      "\n"
-      "L1 :: a/b.cpp :: some message :: grandfathered\n"
-      "not a baseline line\n",
-      errors);
-  ASSERT_EQ(entries.size(), 1u);
-  EXPECT_EQ(entries[0].rule, "L1");
-  EXPECT_EQ(entries[0].file, "a/b.cpp");
-  EXPECT_EQ(entries[0].message, "some message");
-  EXPECT_EQ(entries[0].reason, "grandfathered");
-  ASSERT_EQ(errors.size(), 1u);
-  EXPECT_NE(errors[0].find("4"), std::string::npos) << errors[0];
-}
-
-TEST(SpiderLint, BaselineMatchesByMessageNotLineNumber) {
-  LintReport r = lint_fixture("l8_calibration.cpp", kCalib);
-  ASSERT_EQ(r.findings.size(), 1u);
-
-  BaselineEntry entry{.rule = "L8",
-                      .file = "lint_fixtures/l8_calibration.cpp",
-                      .message = r.findings[0].message,
-                      .reason = "test"};
-  EXPECT_TRUE(baseline_matches(entry, r.findings[0]));
-
-  // Suffix matching honours '/' boundaries: a mid-component suffix is not
-  // the same file.
-  BaselineEntry partial = entry;
-  partial.file = "8_calibration.cpp";
-  EXPECT_FALSE(baseline_matches(partial, r.findings[0]));
-
-  // Applying the baseline removes the finding; nothing is stale.
-  const std::vector<BaselineEntry> stale = apply_baseline(r, {entry});
-  EXPECT_TRUE(r.clean());
-  EXPECT_TRUE(stale.empty());
-}
-
-TEST(SpiderLint, BaselineReportsStaleEntries) {
-  LintReport r = lint_fixture("l8_calibration.cpp", kCalib);
-  const BaselineEntry gone{.rule = "L8",
-                           .file = "lint_fixtures/l8_calibration.cpp",
-                           .message = "a finding that was fixed long ago",
-                           .reason = "stale"};
-  const std::vector<BaselineEntry> stale = apply_baseline(r, {gone});
-  ASSERT_EQ(stale.size(), 1u);
-  EXPECT_EQ(stale[0].message, "a finding that was fixed long ago");
-  EXPECT_EQ(r.findings.size(), 1u);  // nothing was eaten
-}
-
-TEST(SpiderLint, PruneBaselinePreservesEverythingButStaleEntries) {
-  const std::string text =
-      "# header comment survives\n"
-      "\n"
-      "L8 :: a/live.cpp :: still here :: keep me\n"
-      "L8 :: a/gone.cpp :: fixed finding :: drop me\n"
-      "not a baseline line\n"
-      "L6 :: b/gone.cpp :: fixed finding :: drop me too\n";
-  const std::vector<BaselineEntry> stale = {
-      {.rule = "L8", .file = "a/gone.cpp", .message = "fixed finding",
-       .reason = "ignored"},
-      {.rule = "L6", .file = "b/gone.cpp", .message = "fixed finding",
-       .reason = "reasons never match"}};
-  std::size_t pruned = 0;
-  const std::string out = prune_baseline_text(text, stale, pruned);
-  EXPECT_EQ(pruned, 2u);
-  EXPECT_EQ(out,
-            "# header comment survives\n"
-            "\n"
-            "L8 :: a/live.cpp :: still here :: keep me\n"
-            "not a baseline line\n");
-
-  // Pruning nothing is the identity: comments, blanks, and malformed
-  // lines all round-trip byte for byte.
-  const std::string same = prune_baseline_text(text, {}, pruned);
-  EXPECT_EQ(pruned, 0u);
-  EXPECT_EQ(same, text);
-}
-
-TEST(SpiderLint, BaselineRoundTripsThroughWriteBaseline) {
-  LintReport r = lint_fixture("l8_calibration.cpp", kCalib);
-  std::vector<std::string> errors;
-  const std::vector<BaselineEntry> entries =
-      parse_baseline(render_baseline(r), errors);
-  EXPECT_TRUE(errors.empty());
-  ASSERT_EQ(entries.size(), r.findings.size());
-  const std::vector<BaselineEntry> stale = apply_baseline(r, entries);
-  EXPECT_TRUE(r.clean());
-  EXPECT_TRUE(stale.empty());
 }
 
 }  // namespace

@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <cstdint>
+#include <limits>
 #include <memory>
 #include <string_view>
 #include <utility>
@@ -316,6 +317,36 @@ TEST(Simulator, RejectsPastAndNegative) {
   sim.run();
   EXPECT_THROW(sim.schedule_at(5, [] {}), std::invalid_argument);
   EXPECT_THROW(sim.schedule_in(-1, [] {}), std::invalid_argument);
+}
+
+TEST(Simulator, ScheduleInReachesExactlyTheEndOfSimTime) {
+  constexpr SimTime kMax = std::numeric_limits<SimTime>::max();
+  Simulator sim;
+  sim.run(10);
+  int fired = 0;
+  sim.schedule_in(kMax - 10, [&] { ++fired; });
+  sim.run();
+  EXPECT_EQ(fired, 1);
+  EXPECT_EQ(sim.now(), kMax);
+}
+
+TEST(Simulator, ScheduleInPastTheEndOfSimTimeThrows) {
+  // now() + dt would overflow and wrap into the past; the delay is refused
+  // and nothing is queued.
+  constexpr SimTime kMax = std::numeric_limits<SimTime>::max();
+  Simulator sim;
+  sim.run(10);
+  sim.schedule_in(5, [] {});
+  const std::size_t pending = sim.pending_events();
+  try {
+    sim.schedule_in(kMax - 9, [] {});
+    FAIL() << "expected invalid_argument";
+  } catch (const std::invalid_argument& e) {
+    const std::string msg = e.what();
+    EXPECT_NE(msg.find("now=10"), std::string::npos) << msg;
+    EXPECT_NE(msg.find("sim_test.cpp"), std::string::npos) << msg;
+  }
+  EXPECT_EQ(sim.pending_events(), pending);
 }
 
 TEST(Simulator, PastTimeErrorNamesTimesAndCallSite) {
