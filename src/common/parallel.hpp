@@ -1,12 +1,11 @@
 // Minimal task parallelism: one fixed thread pool with one FIFO queue, plus
 // parallel_for.
 //
-// The pool has two users, each measured to pay (docs/performance.md,
-// "Pooled parallel fan-out"): parallel_for, which fans independent runs
-// (spiderfault --jobs=N campaigns) over the machine, and the sharded
-// engine's lane team (sim/sharded_sim.hpp). Simulations themselves stay
-// single-threaded and deterministic; parallelism is across independent runs
-// or across shards that meet at epoch barriers.
+// The pool has one user, parallel_for, which fans independent runs
+// (spiderfault --jobs=N campaigns) over the machine; docs/performance.md,
+// "Pooled parallel fan-out", has its measurement. Simulations themselves
+// stay single-threaded and deterministic. The sharded engine's lanes are
+// threads of each run's own (sim/sharded_sim.hpp), never pool workers.
 //
 // parallel_for never spawns threads: every call routes through one
 // process-wide ThreadPool (see shared_pool()), so thread creation is paid
@@ -27,10 +26,9 @@ namespace spider {
 
 /// Fixed-size worker pool draining one FIFO queue of void() tasks. Tasks
 /// must not throw: an exception escaping a task ends the process
-/// (std::terminate). Both users catch on the worker and rethrow on their
-/// caller — parallel_for through its batch state, the lane team through
-/// each shard's error slot. The destructor runs every queued task, then
-/// joins the workers.
+/// (std::terminate); parallel_for catches on the worker and rethrows on its
+/// caller through its batch state. The destructor runs every queued task,
+/// then joins the workers.
 class ThreadPool {
  public:
   explicit ThreadPool(std::size_t threads = std::thread::hardware_concurrency());

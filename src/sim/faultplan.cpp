@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <sstream>
 #include <stdexcept>
 
@@ -10,6 +11,8 @@
 namespace spider::sim {
 
 namespace {
+
+constexpr SimTime kEndOfTime = std::numeric_limits<SimTime>::max();
 
 struct KindName {
   FaultKind kind;
@@ -72,6 +75,14 @@ std::uint64_t parse_u64(const std::string& value, std::size_t line_no) {
     parse_error(line_no, "expected a non-negative integer, got '" + value + "'");
   }
   return static_cast<std::uint64_t>(d);
+}
+
+/// `t` scaled by `factor`, never negative, and clamped in double before the
+/// cast: a product past SimTime's end stays there instead of wrapping.
+SimTime jittered(SimTime t, double factor) {
+  const double ns = static_cast<double>(t) * factor;
+  if (ns >= 0x1p63) return kEndOfTime;
+  return ns > 0.0 ? static_cast<SimTime>(ns) : 0;
 }
 
 std::string unquote(const std::string& value) {
@@ -222,13 +233,10 @@ FaultPlan mutate_plan(const FaultPlan& base, const PlanBounds& bounds, Rng& rng)
     // Jitter timing by up to ±25% (never negative) and magnitude by ±20%;
     // retarget within the bound target spaces. Each draw comes from the
     // caller's rng, so the mutant is a pure function of (plan, bounds, seed).
-    inj.at = std::max<SimTime>(
-        0, static_cast<SimTime>(static_cast<double>(inj.at) *
-                                rng.uniform(0.75, 1.25)));
+    inj.at = jittered(inj.at, rng.uniform(0.75, 1.25));
     if (inj.duration > 0) {
-      inj.duration = std::max<SimTime>(
-          kMillisecond, static_cast<SimTime>(static_cast<double>(inj.duration) *
-                                             rng.uniform(0.75, 1.25)));
+      inj.duration = std::max(kMillisecond,
+                              jittered(inj.duration, rng.uniform(0.75, 1.25)));
     }
     inj.magnitude = std::max(1.0, inj.magnitude * rng.uniform(0.8, 1.2));
     inj.group = static_cast<std::uint32_t>(
@@ -294,7 +302,9 @@ void FaultInjector::fire(const Injection& injection, Site loc) {
   binding.apply(injection);
   log_.push_back(Fired{sim_.now(), injection.kind, /*revert=*/false});
   ++applies_;
-  if (injection.duration > 0 && binding.revert) {
+  // A revert past SimTime's end is dropped: no horizon can reach it.
+  if (injection.duration > 0 && binding.revert &&
+      injection.duration <= kEndOfTime - sim_.now()) {
     sim_.schedule_in(
         injection.duration,
         [this, injection] {
@@ -312,6 +322,7 @@ void FaultInjector::poll_trigger(Injection injection, Site loc) {
     fire(injection, loc);
     return;
   }
+  if (injection.poll > kEndOfTime - sim_.now()) return;  // past any horizon
   sim_.schedule_in(injection.poll,
                    [this, injection, loc] { poll_trigger(injection, loc); },
                    loc);

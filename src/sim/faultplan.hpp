@@ -111,16 +111,18 @@ struct PlanBounds {
 };
 
 /// Seeded plan mutation: jitters every injection's time and magnitude and
-/// retargets group/member/enclosure/resource within `bounds`. Identical
-/// (plan, bounds, rng state) yields an identical mutant, so a campaign's
-/// randomized variants are reproducible from the run seed.
+/// retargets group/member/enclosure/resource within `bounds`; a jittered
+/// time past SimTime's end is clamped to it. Identical (plan, bounds, rng
+/// state) yields an identical mutant, so a campaign's randomized variants
+/// are reproducible from the run seed.
 FaultPlan mutate_plan(const FaultPlan& base, const PlanBounds& bounds, Rng& rng);
 
 /// Compiles plans into Simulator events. The binding layer registers one
 /// apply (and optional revert) action per FaultKind and one predicate per
 /// non-time TriggerKind; arm() then schedules every injection. All events
 /// are scheduled through Simulator::schedule_at/schedule_in, so each
-/// injection site lands in the replay stream.
+/// injection site lands in the replay stream. A revert or re-poll that would
+/// land past SimTime's end is not scheduled: no run horizon can reach it.
 class FaultInjector {
  public:
   using ApplyFn = std::function<void(const Injection&)>;

@@ -26,6 +26,8 @@ void ReplayRecorder::on_event(SimTime when, EventId id, std::uint64_t site) {
   event_hash_ = fnv1a(event_hash_, static_cast<std::uint64_t>(when));
   event_hash_ = fnv1a(event_hash_, id);
   event_hash_ = fnv1a(event_hash_, site);
+  stream_hash_ = fnv1a(stream_hash_, static_cast<std::uint64_t>(when));
+  stream_hash_ = fnv1a(stream_hash_, id);
 }
 
 void ReplayRecorder::record_resource_stats(const FlowNetwork& net) {

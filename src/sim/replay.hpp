@@ -63,6 +63,11 @@ class ReplayRecorder {
 
   /// Running hash of the executed-event stream.
   std::uint64_t event_hash() const { return event_hash_; }
+  /// Site-free running hash over (when, id) alone. A site names a file
+  /// basename and line, so event_hash() moves when a schedule call moves to
+  /// another line; this hash moves only when the simulated behaviour does,
+  /// which is why golden traces pin it.
+  std::uint64_t stream_hash() const { return stream_hash_; }
   /// Running hash of recorded ResourceStats snapshots.
   std::uint64_t stats_hash() const { return stats_hash_; }
   /// Single value combining both streams; equal iff both match.
@@ -86,6 +91,7 @@ class ReplayRecorder {
  private:
   std::vector<Record> records_;
   std::uint64_t event_hash_ = kFnvOffsetBasis;
+  std::uint64_t stream_hash_ = kFnvOffsetBasis;
   std::uint64_t stats_hash_ = kFnvOffsetBasis;
 };
 

@@ -1,31 +1,21 @@
 #include "sim/sharded_sim.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <barrier>
 #include <cstddef>
 #include <exception>
-#include <latch>
-#include <memory>
 #include <sstream>
 #include <stdexcept>
+#include <thread>
 #include <utility>
 
 #include "common/hash.hpp"
-#include "common/parallel.hpp"
 
 namespace spider::sim {
 
 namespace {
 
 constexpr SimTime kInfiniteHorizon = std::numeric_limits<SimTime>::max();
-
-/// Helper lanes block on the epoch barrier inside pool workers for a whole
-/// run, so a second team at the same time — another engine run from a
-/// second thread, or from an event on lane 0 — could queue behind workers
-/// the first team holds and wait on it forever. One team at a time; a run
-/// that finds the team out runs serially instead, with the same stream.
-std::atomic<bool> team_out{false};
 
 }  // namespace
 
@@ -58,26 +48,6 @@ void ShardMap::reassign(std::size_t domain, ShardId shard) {
 }
 
 // --- ShardedSimulator -------------------------------------------------------
-
-/// One run()'s lanes. Helper lanes share it through a shared_ptr, so the
-/// barrier and the join latch outlive the last helper's count_down even
-/// after run() has returned.
-struct ShardedSimulator::Team {
-  struct CloseEpoch {
-    ShardedSimulator* engine;
-    void operator()() noexcept { engine->close_epoch(); }
-  };
-
-  Team(ShardedSimulator& engine, std::size_t helpers)
-      : lanes(helpers + 1),
-        sync(static_cast<std::ptrdiff_t>(helpers + 1), CloseEpoch{&engine}),
-        joined(static_cast<std::ptrdiff_t>(helpers)) {}
-
-  std::size_t lanes;
-  std::barrier<CloseEpoch> sync;
-  /// Helper lanes that have not yet left run_lane.
-  std::latch joined;
-};
 
 ShardedSimulator::ShardedSimulator(std::size_t shards, ShardedConfig cfg)
     : cfg_(cfg) {
@@ -202,38 +172,29 @@ void ShardedSimulator::deliver_pending() {
   }
 }
 
-void ShardedSimulator::run_lane(Team& team, std::size_t lane) {
-  do {
-    for (std::size_t s = lane; s < shards_.size(); s += team.lanes) {
-      run_shard(s);
-    }
-    team.sync.arrive_and_wait();
-  } while (!done_);
-}
-
-void ShardedSimulator::run_team() {
-  ThreadPool& pool = shared_pool();
-  const std::size_t wanted = cfg_.workers == 0 ? pool.size() + 1 : cfg_.workers;
-  const std::size_t lanes = std::min({wanted, shards_.size(), pool.size() + 1});
-  // Run serially from a pool worker (nested in parallel_for, or in a helper
-  // lane) — blocking on helper lanes from inside the pool could starve — and
-  // while another team is out.
-  const bool claimed = lanes > 1 && !pool.on_worker_thread() &&
-                       !team_out.exchange(true, std::memory_order_acquire);
-  const std::size_t helpers = claimed ? lanes - 1 : 0;
-  auto team = std::make_shared<Team>(*this, helpers);
+void ShardedSimulator::run_team() noexcept {
+  const std::size_t width = std::max(1u, std::thread::hardware_concurrency());
+  const std::size_t wanted = cfg_.workers == 0 ? width : cfg_.workers;
+  const std::size_t lanes = std::min({wanted, shards_.size(), width});
+  std::barrier sync(static_cast<std::ptrdiff_t>(lanes),
+                    [this]() noexcept { close_epoch(); });
+  const auto run_lane = [this, &sync, lanes](std::size_t lane) {
+    do {
+      for (std::size_t s = lane; s < shards_.size(); s += lanes) run_shard(s);
+      sync.arrive_and_wait();
+    } while (!done_);
+  };
   done_ = false;
-  for (std::size_t lane = 1; lane <= helpers; ++lane) {
-    // One task per helper lane for the whole run, so a lane's shards stay
-    // on one OS thread for every epoch.
-    pool.submit([this, team, lane] {
-      run_lane(*team, lane);
-      team->joined.count_down();
-    });
+  // The caller is lane 0 and each helper lane is a thread of this run's
+  // own, so a lane's shards stay on one OS thread for every epoch and no
+  // other work can hold a lane back. The helpers join when `helpers` goes
+  // out of scope.
+  std::vector<std::jthread> helpers;
+  helpers.reserve(lanes - 1);
+  for (std::size_t lane = 1; lane < lanes; ++lane) {
+    helpers.emplace_back(run_lane, lane);
   }
-  run_lane(*team, 0);
-  team->joined.wait();
-  if (claimed) team_out.store(false, std::memory_order_release);
+  run_lane(0);
 }
 
 std::uint64_t ShardedSimulator::run(SimTime until) {
@@ -326,12 +287,6 @@ std::uint64_t ShardedReplay::stream_hash() const {
     h = fnv1a(h, r.id);
   }
   return h;
-}
-
-std::uint64_t ShardedReplay::serial_equivalent_hash() const {
-  ReplayRecorder serial_form;
-  for (const Record& r : merged()) serial_form.on_event(r.when, r.id, r.site);
-  return serial_form.event_hash();
 }
 
 std::size_t ShardedReplay::events_recorded() const {

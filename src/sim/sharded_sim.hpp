@@ -21,7 +21,7 @@
 //
 // Determinism is by construction, to the same bar spiderfault --jobs=N set:
 //   * Each shard is a serial Simulator, so its local (time, id, site)
-//     stream is reproducible regardless of which pool worker ran it.
+//     stream is reproducible regardless of which lane ran it.
 //   * A shard's inbound mail drains on its own lane before the shard runs,
 //     in canonical (source shard, FIFO) order, so target-local EventIds
 //     never depend on lane interleaving. The barrier that ends a run drains
@@ -33,13 +33,14 @@
 //     *assignment* moves events between queues and legitimately changes
 //     the stream (pinned by the metamorphic tests).
 //
-// Lanes: shard s runs on lane s % lanes. Each run() forms one lane team:
-// lane 0 is the calling thread and each helper lane is one shared_pool()
-// task for the whole run, so a shard's state stays cache-warm on one OS
-// thread without pinning. Lanes meet at one std::barrier per epoch; its
-// completion step plans the next epoch. Each shard's epoch-time state sits
-// in its own kLaneAlign-aligned holder, so no two shards' holders share a
-// cache line (docs/parallel-engine.md).
+// Lanes: shard s runs on lane s % lanes. Each run() owns its lanes: lane 0
+// is the calling thread and each helper lane is a thread the run starts
+// and joins, so a shard's state stays cache-warm on one OS thread without
+// pinning, and events may use the shared pool (parallel_for) freely. Lanes
+// meet at one std::barrier per epoch; its completion step plans the next
+// epoch. Each shard's epoch-time state sits in its own kLaneAlign-aligned
+// holder, so no two shards' holders share a cache line
+// (docs/parallel-engine.md).
 #pragma once
 
 #include <array>
@@ -91,17 +92,18 @@ struct ShardedConfig {
   /// messages sent during an epoch must land at or after the epoch's end;
   /// net/lookahead.hpp derives safe values from the torus/fabric models.
   SimTime lookahead = kMillisecond;
-  /// Max concurrent lanes (caller + pool workers). 0 = auto (one lane per
-  /// shared_pool() worker plus the caller); 1 = serial execution on the
-  /// calling thread. The merged stream is identical either way.
+  /// Max concurrent lanes, the caller included, capped at the shard count
+  /// and the machine's hardware threads. 0 = auto (one lane per hardware
+  /// thread); 1 = serial execution on the calling thread. The merged
+  /// stream is identical either way.
   std::size_t workers = 0;
 };
 
 class ShardedSimulator {
  public:
   explicit ShardedSimulator(std::size_t shards, ShardedConfig cfg = {});
-  // Lane tasks, the barrier's completion step and scenarios hold the
-  // engine's address.
+  // Lanes, the barrier's completion step and scenarios hold the engine's
+  // address.
   ShardedSimulator(const ShardedSimulator&) = delete;
   ShardedSimulator& operator=(const ShardedSimulator&) = delete;
 
@@ -135,11 +137,8 @@ class ShardedSimulator {
   /// epoch, the run stops at its barrier, and run() rethrows the error of
   /// the lowest-indexed failing shard — the same one at any lane count. The
   /// engine stays usable: a later run() resumes from the queues as left.
-  ///
-  /// Events run inside the lane team and must not wait on shared-pool work:
-  /// the helper lanes hold their workers until the run ends. An engine
-  /// run() from inside an event runs serially, as does a run() while
-  /// another engine's team is out.
+  /// Each run() starts and joins its own helper lanes, so a run nested in
+  /// an event, or beside another engine's run, gets lanes of its own.
   std::uint64_t run(SimTime until = std::numeric_limits<SimTime>::max());
 
   /// First time at which a cross-shard message may currently land — the end
@@ -183,12 +182,10 @@ class ShardedSimulator {
     std::exception_ptr error;
   };
 
-  /// The lanes of one run() and their barrier (sharded_sim.cpp).
-  struct Team;
-
-  /// Run epochs on a lane team until the completion step ends the run.
-  void run_team();
-  void run_lane(Team& team, std::size_t lane);
+  /// Run epochs on this run's lanes until the completion step ends the
+  /// run. noexcept: a helper lane that fails to start would leave the
+  /// started ones at the barrier forever, so that ends the process.
+  void run_team() noexcept;
   /// One shard's epoch: take in its mail, then run it to the horizon.
   /// Errors land in the shard's holder.
   void run_shard(std::size_t s) noexcept;
@@ -251,13 +248,8 @@ class ShardedReplay {
   /// FNV-1a over (when, shard, id, site) of the merged stream.
   std::uint64_t merged_hash() const;
   /// Site-free variant over (when, shard, id) — line-number independent,
-  /// like tools::stream_hash.
+  /// like ReplayRecorder::stream_hash.
   std::uint64_t stream_hash() const;
-  /// The merged stream folded exactly as a serial ReplayRecorder folds
-  /// (when, id, site). When one shard carries all events (e.g. a serial
-  /// workload hosted on shard 0), this equals the serial Simulator run's
-  /// event_hash byte-for-byte.
-  std::uint64_t serial_equivalent_hash() const;
 
   std::size_t events_recorded() const;
 

@@ -1,19 +1,11 @@
 // Fault-campaign engine (campaign.hpp). Each campaign owns one serial
 // sim::Simulator; spiderfault --jobs runs whole campaigns side by side.
-//
-// Editing note: every verdict's replay_hash folds in the sites (sim::Site:
-// file basename plus line) of the schedule calls in start_rebuild(), every()
-// and prepare(), so they sit on fixed lines of this file (390, 535, 537, 626
-// and 627): moving one changes every replay_hash even when behaviour is
-// unchanged. Keep edits above them line-neutral, or re-pin the replay hashes
-// on purpose; stream_hash, the golden pin, has no sites and does not move.
 
 #include "tools/faultcli/campaign.hpp"
 
 #include <algorithm>
 #include <sstream>
 
-#include "common/hash.hpp"
 #include "common/json.hpp"
 #include "fs/recovery.hpp"
 
@@ -276,20 +268,6 @@ sim::PlanBounds campaign_bounds(const CampaignConfig& cfg) {
   bounds.enclosures = static_cast<std::uint32_t>(cfg.enclosures);
   bounds.resources = static_cast<std::uint32_t>(cfg.raid_groups) + 2;
   return bounds;
-}
-
-// Site-free on purpose: a replay site is a file basename and line
-// (sim::Site), so replay_hash moves whenever a schedule call moves to
-// another line, even with behaviour unchanged. Folding only (when, id) makes
-// this hash move only when the simulated behaviour does, which is why the
-// golden traces (tests/incident_golden_test.cpp) pin it.
-std::uint64_t stream_hash(const sim::ReplayRecorder& recorder) {
-  std::uint64_t h = kFnvOffsetBasis;
-  for (const auto& record : recorder.records()) {
-    h = fnv1a(h, static_cast<std::uint64_t>(record.when));
-    h = fnv1a(h, record.id);
-  }
-  return h;
 }
 
 std::string verdict_json(const RunVerdict& verdict) {
@@ -638,7 +616,7 @@ RunVerdict FaultCampaign::finish() {
   verdict.plan = plan_.name;
   verdict.seed = seed_;
   verdict.replay_hash = recorder_.combined_hash();
-  verdict.stream_hash = tools::stream_hash(recorder_);
+  verdict.stream_hash = recorder_.stream_hash();
   verdict.events = recorder_.events_recorded();
   verdict.injections_fired = injector_.injections_fired();
   verdict.reverts_fired = injector_.reverts_fired();

@@ -163,9 +163,6 @@ struct RunVerdict {
 /// Render a verdict as one JSON object (stable field order; hashes as hex).
 std::string verdict_json(const RunVerdict& verdict);
 
-/// Site-free FNV-1a over the (when, id) pairs of a recorded event stream.
-std::uint64_t stream_hash(const sim::ReplayRecorder& recorder);
-
 /// One deterministic fault-campaign run over a plan.
 class FaultCampaign {
  public:

@@ -195,6 +195,19 @@ TEST(FaultPlanMutation, RespectsBoundsAndJitterRange) {
   }
 }
 
+TEST(FaultPlanMutation, FarFutureTimesStayInTheFarFuture) {
+  // 9e9 s parses, but up to 1.25x of it lies past SimTime's end: a mutant
+  // clamps there instead of overflowing the cast (and wrapping to t = 0).
+  const FaultPlan base = parse_fault_plan(
+      "[[inject]]\nat_s = 9e9\n[[inject]]\nat_s = 1\nduration_s = 9e9\n");
+  Rng rng(12);
+  for (int round = 0; round < 50; ++round) {
+    const FaultPlan mutant = mutate_plan(base, PlanBounds{}, rng);
+    EXPECT_GE(mutant.injections[0].at, from_seconds(0.75 * 9e9));
+    EXPECT_GE(mutant.injections[1].duration, from_seconds(0.75 * 9e9));
+  }
+}
+
 TEST(FaultInjector, TimedInjectionFiresAndReverts) {
   Simulator sim;
   FaultInjector injector(sim);
@@ -273,6 +286,39 @@ TEST(FaultInjector, ArmSchedulesWholePlanAndChecksBindings) {
   injector.arm(plan);
   sim.run(400 * kSecond);
   EXPECT_EQ(fired, 3);
+}
+
+TEST(FaultInjector, NothingIsScheduledPastTheEndOfSimTime) {
+  // From t = 10 s, the revert and the re-poll are both due past SimTime's
+  // end, which no horizon reaches.
+  Simulator sim;
+  FaultInjector injector(sim);
+  int applied = 0;
+  int polls = 0;
+  injector.bind(
+      FaultKind::kMdsStall, [&](const Injection&) { ++applied; },
+      [&](const Injection&) { ADD_FAILURE() << "revert fired"; });
+  injector.bind(FaultKind::kSlowDiskOnset,
+                [&](const Injection&) { ADD_FAILURE() << "trigger fired"; });
+  injector.bind_trigger(TriggerKind::kOnRebuildActive, [&](const Injection&) {
+    ++polls;
+    return false;
+  });
+  Injection revert;
+  revert.kind = FaultKind::kMdsStall;
+  revert.at = 10 * kSecond;
+  revert.duration = from_seconds(9223372036.0);
+  injector.inject(revert);
+  Injection repoll;
+  repoll.kind = FaultKind::kSlowDiskOnset;
+  repoll.trigger = TriggerKind::kOnRebuildActive;
+  repoll.at = 10 * kSecond;
+  repoll.poll = revert.duration;
+  injector.inject(repoll);
+  EXPECT_NO_THROW(sim.run());
+  EXPECT_EQ(applied, 1);
+  EXPECT_EQ(polls, 1);
+  EXPECT_EQ(sim.pending_events(), 0u);
 }
 
 TEST(FaultInjector, PastInjectionTimeClampsToNow) {
